@@ -14,14 +14,14 @@ their detail text.
 
 from __future__ import annotations
 
-import multiprocessing
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .census import RowCensus, census_row
+from ._dispatch import ordered_map
+from .census import RowCensus, census_row, row_segments
 from .dc import dc_min
-from .primes import DEFAULT_SEGMENT_CAP, PrimeSegment, sieve_segment
+from .primes import DEFAULT_SEGMENT_CAP, PrimeSegment
 from .rowrange import Range, Row, partition_rows
 
 #: Relations evaluated once per row, from the census alone.
@@ -246,9 +246,9 @@ def summarize(reports: Sequence[AuditReport]) -> dict[str, dict[str, int]]:
     }
 
 
-def _audit_row_task(args: tuple[int, int, Optional[tuple[str, ...]]]) -> AuditReport:
-    start, end, relations = args
-    return audit_row(Row(start, end), relations)
+def _audit_row_task(task: tuple) -> AuditReport:
+    row, segment, relations = task
+    return audit_row(row, relations, segment)
 
 
 def audit_range(
@@ -267,19 +267,6 @@ def audit_range(
     _relation_filter(relations)
     rows = partition_rows(rng, width)
     rel_tuple = tuple(relations) if relations is not None else None
-    if workers > 1:
-        tasks = [(row.start, row.end, rel_tuple) for row in rows]
-        with multiprocessing.Pool(workers) as pool:
-            reports = pool.map(_audit_row_task, tasks)
-    else:
-        reports = []
-        if width > cap:
-            reports = [audit_row(row, rel_tuple) for row in rows]
-        else:
-            per_chunk = max(1, cap // width)
-            for i in range(0, len(rows), per_chunk):
-                chunk = rows[i : i + per_chunk]
-                seg = sieve_segment(chunk[0].start, chunk[-1].end, cap=cap)
-                reports.extend(audit_row(row, rel_tuple, seg) for row in chunk)
-    reports = tuple(reports)
+    tasks = ((row, seg, rel_tuple) for row, seg in row_segments(rows, cap))
+    reports = tuple(ordered_map(_audit_row_task, tasks, workers))
     return RangeAudit(reports, summarize(reports))

@@ -45,6 +45,13 @@ def _add_common(parser: argparse.ArgumentParser, formats=serialize.FORMATS) -> N
     parser.add_argument("--output", metavar="PATH", default=None)
 
 
+def _add_bounds(parser: argparse.ArgumentParser, row_width: bool = False) -> None:
+    parser.add_argument("--from", dest="from_", type=_natural, required=True)
+    parser.add_argument("--to", type=_natural, required=True)
+    if row_width:
+        parser.add_argument("--row-width", type=_natural, required=True)
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     summary = run_verify(
         args.from_,
@@ -54,12 +61,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         checkpoint_stride=args.checkpoint_stride,
     )
     if args.format == "json":
-        env = serialize.envelope(
-            "verify",
-            {"from": summary.from_even, "to": summary.to_even},
-            serialize.sweep_payload(summary),
-        )
-        _emit(serialize.to_json(env), args.output)
+        params = {"from": summary.from_even, "to": summary.to_even}
+        payload = serialize.sweep_payload(summary)
+        _emit(serialize.to_json("verify", params, payload), args.output)
         print(
             f"verified {summary.verified} evens in {summary.elapsed_seconds:.2f} s",
             file=sys.stderr,
@@ -74,12 +78,11 @@ def cmd_audit(args: argparse.Namespace) -> int:
         Range(args.from_, args.to), args.row_width, workers=args.workers
     )
     if args.format == "json":
-        env = serialize.envelope(
+        text = serialize.to_json(
             "audit",
             {"from": args.from_, "to": args.to, "width": args.row_width},
             serialize.audit_payload(result),
         )
-        text = serialize.to_json(env)
     elif args.format == "csv":
         text = serialize.audit_csv(result)
     else:
@@ -91,12 +94,11 @@ def cmd_audit(args: argparse.Namespace) -> int:
 def cmd_census(args: argparse.Namespace) -> int:
     items = census_range(Range(args.from_, args.to), args.row_width)
     if args.format == "json":
-        env = serialize.envelope(
+        text = serialize.to_json(
             "census",
             {"from": args.from_, "to": args.to, "width": args.row_width},
             serialize.census_payload(items),
         )
-        text = serialize.to_json(env)
     elif args.format == "csv":
         text = serialize.census_csv(items)
     else:
@@ -109,12 +111,11 @@ def cmd_dc(args: argparse.Namespace) -> int:
     result = dc_min(args.target)
     pairs = goldbach_pairs(args.target) if args.pairs else None
     if args.format == "json":
-        env = serialize.envelope(
+        text = serialize.to_json(
             "dc",
             {"target": args.target, "pairs": bool(args.pairs)},
             serialize.dc_payload(result, pairs),
         )
-        text = serialize.to_json(env)
     else:
         text = serialize.dc_text(result, pairs)
     _emit(text, args.output)
@@ -125,8 +126,7 @@ def cmd_sieve(args: argparse.Namespace) -> int:
     seg = sieve_segment(args.from_, args.to)
     payload = serialize.segment_payload(seg, include_primes=args.list)
     if args.format == "json":
-        env = serialize.envelope("sieve", {"from": args.from_, "to": args.to}, payload)
-        text = serialize.to_json(env)
+        text = serialize.to_json("sieve", {"from": args.from_, "to": args.to}, payload)
     else:
         text = f"primes in [{seg.lo}, {seg.hi}]: {seg.count()}\n"
         if args.list:
@@ -138,12 +138,11 @@ def cmd_sieve(args: argparse.Namespace) -> int:
 def cmd_partition(args: argparse.Namespace) -> int:
     rows = partition_rows(Range(args.from_, args.to), args.row_width)
     if args.format == "json":
-        env = serialize.envelope(
+        text = serialize.to_json(
             "partition",
             {"from": args.from_, "to": args.to, "width": args.row_width},
             serialize.partition_payload(rows, args.row_width),
         )
-        text = serialize.to_json(env)
     else:
         text = "\n".join(f"row {r.start}..{r.end}" for r in rows) + "\n"
     _emit(text, args.output)
@@ -158,8 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="check every even in [from, to] splits into two primes")
-    p.add_argument("--from", dest="from_", type=_natural, required=True)
-    p.add_argument("--to", type=_natural, required=True)
+    _add_bounds(p)
     p.add_argument("--workers", type=_natural, default=1)
     p.add_argument("--checkpoint", metavar="PATH", default=None)
     p.add_argument(
@@ -172,17 +170,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("audit", help="evaluate the relation catalog on every row")
-    p.add_argument("--from", dest="from_", type=_natural, required=True)
-    p.add_argument("--to", type=_natural, required=True)
-    p.add_argument("--row-width", type=_natural, required=True)
+    _add_bounds(p, row_width=True)
     p.add_argument("--workers", type=_natural, default=1)
     _add_common(p)
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("census", help="count evens, odds, and primes per row")
-    p.add_argument("--from", dest="from_", type=_natural, required=True)
-    p.add_argument("--to", type=_natural, required=True)
-    p.add_argument("--row-width", type=_natural, required=True)
+    _add_bounds(p, row_width=True)
     _add_common(p)
     p.set_defaults(func=cmd_census)
 
@@ -193,16 +187,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_dc)
 
     p = sub.add_parser("sieve", help="sieve one segment and report its primes")
-    p.add_argument("--from", dest="from_", type=_natural, required=True)
-    p.add_argument("--to", type=_natural, required=True)
+    _add_bounds(p)
     p.add_argument("--list", action="store_true", help="include the full prime list")
     _add_common(p, formats=("json", "text"))
     p.set_defaults(func=cmd_sieve)
 
     p = sub.add_parser("partition", help="split a range into equal-width rows")
-    p.add_argument("--from", dest="from_", type=_natural, required=True)
-    p.add_argument("--to", type=_natural, required=True)
-    p.add_argument("--row-width", type=_natural, required=True)
+    _add_bounds(p, row_width=True)
     _add_common(p, formats=("json", "text"))
     p.set_defaults(func=cmd_partition)
 

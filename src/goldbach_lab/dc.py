@@ -9,7 +9,7 @@ the search, so the two can cross-check each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import chain
 
 from .errors import (
     AboveEnumerationCap,
@@ -18,7 +18,7 @@ from .errors import (
     NotEven,
     TargetTooSmall,
 )
-from .primes import is_prime, iter_primes, sieve_segment
+from .primes import base_primes, is_prime, iter_primes, sieve_segment
 
 DEFAULT_ORACLE_CAP = 10**6
 DEFAULT_ENUMERATION_CAP = 10**4
@@ -40,23 +40,13 @@ class DcResult:
     witness: tuple[int, ...]
 
 
-@lru_cache(maxsize=1)
-def _small_primes() -> tuple[int, ...]:
-    return tuple(sieve_segment(2, _SMALL_PRIME_BOUND).primes())
-
-
 def _first_pair(target: int) -> tuple[int, int]:
     """Smallest-p prime pair (p, q) with p + q = target, for even target >= 4.
 
     Ascends p over every prime <= target/2 before giving up, so a raised
     GoldbachCounterexample really is the outcome of an exhaustive search.
     """
-    for p in _small_primes():
-        if p > target - p:
-            raise GoldbachCounterexample(target)
-        if is_prime(target - p):
-            return p, target - p
-    for p in iter_primes(_SMALL_PRIME_BOUND + 1):
+    for p in chain(base_primes(_SMALL_PRIME_BOUND), iter_primes(_SMALL_PRIME_BOUND + 1)):
         if p > target - p:
             raise GoldbachCounterexample(target)
         if is_prime(target - p):

@@ -57,8 +57,12 @@ def is_prime(n: int) -> bool:
 
 
 @lru_cache(maxsize=8)
-def _base_primes(limit: int) -> tuple[int, ...]:
-    """Primes <= limit by a plain sieve; cached as an immutable tuple."""
+def base_primes(limit: int) -> tuple[int, ...]:
+    """Primes <= limit by a plain sieve; cached as an immutable tuple.
+
+    The package's one small-prime table: the segment sieve, the sweep's
+    pair pass and the dc pair search all read it.  Not public API.
+    """
     if limit < 2:
         return ()
     flags = bytearray(b"\x01") * (limit + 1)
@@ -124,7 +128,7 @@ def sieve_segment(lo: int, hi: int, *, cap: int = DEFAULT_SEGMENT_CAP) -> PrimeS
         mask = bytearray(b"\x01") * n_odd
         if first_odd == 1:
             mask[0] = 0
-        for p in _base_primes(isqrt(hi)):
+        for p in base_primes(isqrt(hi)):
             if p == 2:
                 continue
             start = max(p * p, (lo + p - 1) // p * p)

@@ -17,49 +17,33 @@ from .errors import (
     WidthExceedsRange,
 )
 
-#: Validation property labels, in report order.
-ROW_PROPERTY_LABELS = ("I", "II", "III", "IV")
-RANGE_PROPERTY_LABELS = ("[1]", "[2]", "[3]", "[4]", "[5]", "[6]")
-
 
 @dataclass(frozen=True)
-class Row:
+class _Interval:
+    """The consecutive naturals {start, ..., end}, stored by endpoints only."""
+
+    start: int
+    end: int
+
+    def __post_init__(self):
+        if not 1 <= self.start <= self.end:
+            raise ValueError(f"need 1 <= start <= end, got ({self.start}, {self.end})")
+
+    @property
+    def size(self) -> int:
+        """Element count (the cardinality: d for a row, D for a range)."""
+        return self.end - self.start + 1
+
+    def elements(self) -> range:
+        return range(self.start, self.end + 1)
+
+
+class Row(_Interval):
     """The consecutive naturals {start, start+1, ..., end}."""
 
-    start: int
-    end: int
 
-    def __post_init__(self):
-        if not 1 <= self.start <= self.end:
-            raise ValueError(f"need 1 <= start <= end, got ({self.start}, {self.end})")
-
-    @property
-    def size(self) -> int:
-        """Element count (the cardinality d)."""
-        return self.end - self.start + 1
-
-    def elements(self) -> range:
-        return range(self.start, self.end + 1)
-
-
-@dataclass(frozen=True)
-class Range:
+class Range(_Interval):
     """The consecutive naturals {start, ..., end}; partitions into Rows."""
-
-    start: int
-    end: int
-
-    def __post_init__(self):
-        if not 1 <= self.start <= self.end:
-            raise ValueError(f"need 1 <= start <= end, got ({self.start}, {self.end})")
-
-    @property
-    def size(self) -> int:
-        """Element count (the cardinality D)."""
-        return self.end - self.start + 1
-
-    def elements(self) -> range:
-        return range(self.start, self.end + 1)
 
 
 @dataclass(frozen=True)
@@ -86,6 +70,39 @@ def _checked(candidate: Sequence[int]) -> list[int]:
     return values
 
 
+#: Reason reported for each property a candidate can fail.
+_REASONS = {
+    "unique_min": "smallest element is not unique",
+    "unique_max": "greatest element is not unique",
+    "ascending": "elements are not in ascending order",
+    "unit_step": "elements do not step by exactly one",
+}
+#: (property, label) pairs in report order, one table per interval kind.
+ROW_PROPERTY_LABELS = (
+    ("unique_min", "II"), ("unique_max", "II"), ("ascending", "III"), ("unit_step", "IV")
+)
+RANGE_PROPERTY_LABELS = (
+    ("unique_min", "[4]"), ("unique_max", "[4]"), ("unit_step", "[5]"), ("ascending", "[6]")
+)
+
+
+def _validate(
+    candidate: Sequence[int], labels: tuple[tuple[str, str], ...], kind: type[_Interval]
+) -> ValidationVerdict:
+    values = _checked(candidate)
+    distinct = sorted(set(values))
+    failed = {
+        "unique_min": values.count(min(values)) > 1,
+        "unique_max": len(values) > 1 and values.count(max(values)) > 1,
+        "ascending": any(a >= b for a, b in zip(values, values[1:])),
+        "unit_step": any(b - a != 1 for a, b in zip(distinct, distinct[1:])),
+    }
+    violations = tuple((label, _REASONS[prop]) for prop, label in labels if failed[prop])
+    if violations:
+        return ValidationVerdict(False, violations)
+    return ValidationVerdict(True, (), kind(values[0], values[-1]))
+
+
 def validate_row(candidate: Sequence[int]) -> ValidationVerdict:
     """Check the four row properties on an explicit element sequence.
 
@@ -94,20 +111,7 @@ def validate_row(candidate: Sequence[int]) -> ValidationVerdict:
     of the naturals) holds for any sequence that passes the preconditions.
     All violated properties are reported, not just the first.
     """
-    values = _checked(candidate)
-    violations: list[tuple[str, str]] = []
-    if values.count(min(values)) > 1:
-        violations.append(("II", "smallest element is not unique"))
-    if len(values) > 1 and values.count(max(values)) > 1:
-        violations.append(("II", "greatest element is not unique"))
-    if any(a >= b for a, b in zip(values, values[1:])):
-        violations.append(("III", "elements are not in ascending order"))
-    distinct = sorted(set(values))
-    if any(b - a != 1 for a, b in zip(distinct, distinct[1:])):
-        violations.append(("IV", "elements do not step by exactly one"))
-    if violations:
-        return ValidationVerdict(False, tuple(violations))
-    return ValidationVerdict(True, (), Row(values[0], values[-1]))
+    return _validate(candidate, ROW_PROPERTY_LABELS, Row)
 
 
 def validate_range(candidate: Sequence[int]) -> ValidationVerdict:
@@ -117,20 +121,7 @@ def validate_range(candidate: Sequence[int]) -> ValidationVerdict:
     degenerate row) and [3] (finite cardinality) hold for any sequence that
     passes the preconditions, so only [4]-[6] can appear as violations.
     """
-    values = _checked(candidate)
-    violations: list[tuple[str, str]] = []
-    if values.count(min(values)) > 1:
-        violations.append(("[4]", "smallest element is not unique"))
-    if len(values) > 1 and values.count(max(values)) > 1:
-        violations.append(("[4]", "greatest element is not unique"))
-    distinct = sorted(set(values))
-    if any(b - a != 1 for a, b in zip(distinct, distinct[1:])):
-        violations.append(("[5]", "elements do not step by exactly one"))
-    if any(a >= b for a, b in zip(values, values[1:])):
-        violations.append(("[6]", "elements are not in ascending order"))
-    if violations:
-        return ValidationVerdict(False, tuple(violations))
-    return ValidationVerdict(True, (), Range(values[0], values[-1]))
+    return _validate(candidate, RANGE_PROPERTY_LABELS, Range)
 
 
 def partition_rows(rng: Range, width: int) -> list[Row]:

@@ -10,9 +10,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 from typing import Any, Union
 
+from . import __version__ as TOOL_VERSION
 from .audit import AuditReport, RangeAudit, RelationCheck
 from .census import RowCensus
 from .dc import DcResult
@@ -20,35 +20,18 @@ from .primes import PrimeSegment
 from .rowrange import Row
 from .sweep import SweepSummary
 
-TOOL_VERSION = "0.1.0"
-
 FORMATS = ("json", "csv", "text")
 
 
-@dataclass(frozen=True)
-class ReportEnvelope:
-    """Fixed wrapper around one command's payload."""
-
-    tool_version: str
-    command: str
-    parameters: dict[str, Any]
-    payload: Any
-
-    def to_doc(self) -> dict[str, Any]:
-        return {
-            "command": self.command,
-            "parameters": self.parameters,
-            "payload": self.payload,
-            "tool_version": self.tool_version,
-        }
-
-
-def envelope(command: str, parameters: dict[str, Any], payload: Any) -> ReportEnvelope:
-    return ReportEnvelope(TOOL_VERSION, command, dict(parameters), payload)
-
-
-def to_json(env: ReportEnvelope) -> str:
-    return json.dumps(env.to_doc(), sort_keys=True, indent=2) + "\n"
+def to_json(command: str, parameters: dict[str, Any], payload: Any) -> str:
+    """One command's result in the fixed JSON envelope."""
+    doc = {
+        "command": command,
+        "parameters": parameters,
+        "payload": payload,
+        "tool_version": TOOL_VERSION,
+    }
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -154,70 +137,41 @@ def _cell(value: Union[int, float, bool, tuple[int, int]]) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
+_CENSUS_COLUMNS = ["row_start", "row_end", "gamma_even", "gamma_odd", "gamma_prime", "m"]
+_CHECK_COLUMNS = ["relation_id", "lhs", "rhs", "holds"]
+
+
+def _census_cells(row: Row, c: RowCensus) -> list[int]:
+    return [row.start, row.end, c.gamma_even, c.gamma_odd, c.gamma_prime, c.m]
+
+
+def _check_cells(check: RelationCheck) -> list[str]:
+    lhs, rhs = _cell(check.lhs_value), _cell(check.rhs_value)
+    return [check.relation_id, lhs, rhs, _cell(check.holds)]
+
+
 def audit_csv(result: RangeAudit) -> str:
     """Two flat tables: per-row checks, a blank line, then per-A checks."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        [
-            "row_start",
-            "row_end",
-            "gamma_even",
-            "gamma_odd",
-            "gamma_prime",
-            "m",
-            "relation_id",
-            "lhs",
-            "rhs",
-            "holds",
-        ]
-    )
+    writer.writerow(_CENSUS_COLUMNS + _CHECK_COLUMNS)
     for report in result.reports:
-        row, c = report.row, report.census
-        for check in report.row_checks:
-            writer.writerow(
-                [
-                    row.start,
-                    row.end,
-                    c.gamma_even,
-                    c.gamma_odd,
-                    c.gamma_prime,
-                    c.m,
-                    check.relation_id,
-                    _cell(check.lhs_value),
-                    _cell(check.rhs_value),
-                    _cell(check.holds),
-                ]
-            )
+        cells = _census_cells(report.row, report.census)
+        writer.writerows(cells + _check_cells(check) for check in report.row_checks)
     buf.write("\n")
-    writer.writerow(["row_start", "A", "dc_value", "relation_id", "lhs", "rhs", "holds"])
+    writer.writerow(["row_start", "A", "dc_value"] + _CHECK_COLUMNS)
     for report in result.reports:
         for even in report.per_even:
-            for check in even.checks:
-                writer.writerow(
-                    [
-                        report.row.start,
-                        even.target,
-                        even.dc_value,
-                        check.relation_id,
-                        _cell(check.lhs_value),
-                        _cell(check.rhs_value),
-                        _cell(check.holds),
-                    ]
-                )
+            cells = [report.row.start, even.target, even.dc_value]
+            writer.writerows(cells + _check_cells(check) for check in even.checks)
     return buf.getvalue()
 
 
 def census_csv(items: list[tuple[Row, RowCensus]]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["row_start", "row_end", "gamma_even", "gamma_odd", "gamma_prime", "m"]
-    )
-    for row, c in items:
-        writer.writerow(
-            [row.start, row.end, c.gamma_even, c.gamma_odd, c.gamma_prime, c.m]
-        )
+    writer.writerow(_CENSUS_COLUMNS)
+    writer.writerows(_census_cells(row, c) for row, c in items)
     return buf.getvalue()
 
 
@@ -225,14 +179,17 @@ def census_csv(items: list[tuple[Row, RowCensus]]) -> str:
 # text
 
 
+def _census_line(row: Row, c: RowCensus) -> str:
+    return (
+        f"row {row.start}..{row.end}: evens={c.gamma_even} odds={c.gamma_odd} "
+        f"primes={c.gamma_prime} m={c.m}"
+    )
+
+
 def audit_text(result: RangeAudit) -> str:
     lines = []
     for report in result.reports:
-        row, c = report.row, report.census
-        lines.append(
-            f"row {row.start}..{row.end}: evens={c.gamma_even} odds={c.gamma_odd} "
-            f"primes={c.gamma_prime} m={c.m}"
-        )
+        lines.append(_census_line(report.row, report.census))
         for check in report.row_checks:
             lines.append(
                 f"  {check.relation_id}: lhs={_cell(check.lhs_value)} "
@@ -249,12 +206,7 @@ def audit_text(result: RangeAudit) -> str:
 
 
 def census_text(items: list[tuple[Row, RowCensus]]) -> str:
-    lines = [
-        f"row {row.start}..{row.end}: evens={c.gamma_even} odds={c.gamma_odd} "
-        f"primes={c.gamma_prime} m={c.m}"
-        for row, c in items
-    ]
-    return "\n".join(lines) + "\n"
+    return "\n".join(_census_line(row, c) for row, c in items) + "\n"
 
 
 def dc_text(result: DcResult, pairs: Union[list[tuple[int, int]], None] = None) -> str:

@@ -11,17 +11,16 @@ pair or reports the even as a failure.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from functools import lru_cache
 from typing import Optional
 
+from ._dispatch import ordered_map
 from .dc import dc_min
 from .errors import CheckpointMismatch, GoldbachCounterexample, NotEven
-from .primes import sieve_segment
+from .primes import base_primes, sieve_segment
 
 BLOCK_EVENS = 1 << 16  # evens handed to a worker at a time
 DEFAULT_CHECKPOINT_STRIDE = 1 << 20  # evens between checkpoint writes
@@ -29,15 +28,9 @@ CHECKPOINT_VERSION = 1
 
 _PAIR_PRIME_BOUND = 1 << 14  # small-prime budget before the exhaustive fallback
 
-_CHECKPOINT_FIELDS = (
-    "version",
-    "from",
-    "to",
-    "last_verified",
-    "failures",
-    "started_at",
-    "updated_at",
-)
+_INT_FIELDS = ("version", "from", "to", "last_verified")
+_STR_FIELDS = ("started_at", "updated_at")
+_CHECKPOINT_FIELDS = _INT_FIELDS + ("failures",) + _STR_FIELDS
 
 
 @dataclass(frozen=True)
@@ -69,9 +62,8 @@ def _utcnow() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-@lru_cache(maxsize=1)
-def _pair_primes() -> tuple[int, ...]:
-    return tuple(sieve_segment(2, _PAIR_PRIME_BOUND).primes())
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def verify_block(lo: int, hi: int) -> list[int]:
@@ -85,7 +77,7 @@ def verify_block(lo: int, hi: int) -> list[int]:
     targets = bytearray(hi - seg_lo + 1)
     targets[lo - seg_lo :: 2] = b"\x01" * ((hi - lo) // 2 + 1)
     unresolved = int.from_bytes(bytes(targets), "little")
-    for p in _pair_primes():
+    for p in base_primes(_PAIR_PRIME_BOUND):
         unresolved &= ~(prime_bits << (8 * p))
         if not unresolved:
             return []
@@ -129,7 +121,10 @@ def checkpoint_to_json(cp: SweepCheckpoint) -> str:
 
 def checkpoint_from_json(text: str) -> SweepCheckpoint:
     """Parse and validate a checkpoint document; reject anything off-contract."""
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise CheckpointMismatch(f"checkpoint is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise CheckpointMismatch("checkpoint is not a JSON object")
     unknown = set(doc) - set(_CHECKPOINT_FIELDS)
@@ -138,6 +133,12 @@ def checkpoint_from_json(text: str) -> SweepCheckpoint:
     missing = set(_CHECKPOINT_FIELDS) - set(doc)
     if missing:
         raise CheckpointMismatch(f"missing checkpoint fields: {sorted(missing)}")
+    mistyped = [k for k in _INT_FIELDS if not _is_int(doc[k])]
+    mistyped += [k for k in _STR_FIELDS if not isinstance(doc[k], str)]
+    if not (isinstance(doc["failures"], list) and all(map(_is_int, doc["failures"]))):
+        mistyped.append("failures")
+    if mistyped:
+        raise CheckpointMismatch(f"checkpoint fields of the wrong type: {sorted(mistyped)}")
     if doc["version"] != CHECKPOINT_VERSION:
         raise CheckpointMismatch(f"unsupported checkpoint version {doc['version']!r}")
     cp = SweepCheckpoint(
@@ -233,22 +234,13 @@ def run_verify(
                 ),
             )
 
-    if workers > 1 and len(blocks) > 1:
-        with multiprocessing.Pool(workers) as pool:
-            results = pool.imap(_verify_block_task, blocks)
-            for (lo, hi), block_failures in zip(blocks, results):
-                failures.extend(block_failures)
-                evens_since_checkpoint += (hi - lo) // 2 + 1
-                if evens_since_checkpoint >= checkpoint_stride and hi < to_even:
-                    flush_checkpoint(hi)
-                    evens_since_checkpoint = 0
-    else:
-        for lo, hi in blocks:
-            failures.extend(verify_block(lo, hi))
-            evens_since_checkpoint += (hi - lo) // 2 + 1
-            if evens_since_checkpoint >= checkpoint_stride and hi < to_even:
-                flush_checkpoint(hi)
-                evens_since_checkpoint = 0
+    results = ordered_map(_verify_block_task, blocks, workers if len(blocks) > 1 else 1)
+    for (lo, hi), block_failures in zip(blocks, results):
+        failures.extend(block_failures)
+        evens_since_checkpoint += (hi - lo) // 2 + 1
+        if evens_since_checkpoint >= checkpoint_stride and hi < to_even:
+            flush_checkpoint(hi)
+            evens_since_checkpoint = 0
 
     flush_checkpoint(to_even)
     elapsed = time.perf_counter() - t0

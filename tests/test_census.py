@@ -1,10 +1,19 @@
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from goldbach_lab.audit import audit_range
 from goldbach_lab.census import RowCensus, census_range, census_row
 from goldbach_lab.primes import prime_count, sieve_segment
 from goldbach_lab.rowrange import Range, Row
 
 from oracles import trial_is_prime
+
+WALK = Range(1, 240)
+WALKERS = {
+    "census": lambda **kw: census_range(WALK, 12, **kw),
+    "audit-w1": lambda **kw: audit_range(WALK, 12, workers=1, **kw),
+    "audit-w2": lambda **kw: audit_range(WALK, 12, workers=2, **kw),
+}
 
 
 def enumerate_census(row: Row) -> RowCensus:
@@ -77,10 +86,14 @@ class TestCensusRange:
         starts = [row.start for row, _ in items]
         assert starts == sorted(starts)
 
-    def test_chunked_sieving_matches_per_row(self):
-        # tiny cap forces several shared segments
-        items = census_range(Range(1, 240), 12, cap=48)
-        assert items == census_range(Range(1, 240), 12)
+    # cap 48 shares each sieve across four rows; cap 8 is narrower than a
+    # row, so every row is sieved on its own; the default cap covers all
+    @pytest.mark.parametrize("cap", [48, 8, None], ids=["cap48", "cap8", "default"])
+    @pytest.mark.parametrize("walker", list(WALKERS))
+    def test_chunked_sieving_matches_per_row(self, walker, cap):
+        kwargs = {} if cap is None else {"cap": cap}
+        reference = census_range(WALK, 12) if walker == "census" else audit_range(WALK, 12)
+        assert WALKERS[walker](**kwargs) == reference
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -1,0 +1,88 @@
+"""Pinned sha256 digests of every subcommand's output in every format.
+
+Refactors must keep the CLI bytes identical; any change to these digests is
+a change of the output contract.  The wall-time clause of ``verify`` text
+output is the only nondeterministic part and is stripped before hashing.
+"""
+
+import hashlib
+import re
+
+import pytest
+
+from goldbach_lab.cli import main
+
+_WALL_TIME = re.compile(rb" in \d+\.\d\d s")
+
+COMMANDS = {
+    "verify-w1": ["verify", "--from", "4", "--to", "300000", "--workers", "1"],
+    "verify-w2": ["verify", "--from", "4", "--to", "300000", "--workers", "2"],
+    "audit-w1": ["audit", "--from", "1", "--to", "600", "--row-width", "20",
+                 "--workers", "1"],
+    "audit-w2": ["audit", "--from", "1", "--to", "600", "--row-width", "20",
+                 "--workers", "2"],
+    "census-low": ["census", "--from", "1", "--to", "1000", "--row-width", "100"],
+    "census-high": ["census", "--from", str(10**12 + 1), "--to", str(10**12 + 600),
+                    "--row-width", "50"],
+    "dc-record": ["dc", "3325581707333960528"],
+    "dc-pairs": ["dc", "100", "--pairs"],
+    "dc-odd": ["dc", "27"],
+    "sieve": ["sieve", "--from", "1", "--to", "1000", "--list"],
+    "sieve-count": ["sieve", "--from", "999000", "--to", "1000000"],
+    "partition": ["partition", "--from", "1", "--to", "100", "--row-width", "10"],
+}
+FORMATS = {
+    "verify": ("json", "text"),
+    "audit": ("json", "csv", "text"),
+    "census": ("json", "csv", "text"),
+    "dc": ("json", "text"),
+    "sieve": ("json", "text"),
+    "partition": ("json", "text"),
+}
+CASES = [
+    (f"{name}-{fmt}", argv + ["--format", fmt])
+    for name, argv in COMMANDS.items()
+    for fmt in FORMATS[argv[0]]
+]
+
+DIGESTS = {
+    "verify-w1-json": "e451126c2b9db865157625f54cf38745618ab25eaedae08c687263cca160af93",
+    "verify-w1-text": "a1a4a3a3fe7cf5bc2127bc2d47c9535ed730df1d8b308977381ca04a4fa17035",
+    "verify-w2-json": "e451126c2b9db865157625f54cf38745618ab25eaedae08c687263cca160af93",
+    "verify-w2-text": "a1a4a3a3fe7cf5bc2127bc2d47c9535ed730df1d8b308977381ca04a4fa17035",
+    "audit-w1-json": "0516711203306335e63d75b15019eecbd6fc82633e6a1f969b5a126051a271dc",
+    "audit-w1-csv": "d5e6838ca2a7b7ace614ab617b431be12e0a3667d7aed15732bcb7ecd78d330b",
+    "audit-w1-text": "7ce7afccd48e5ea9dc3fc9744e4ccc604e358ab6c67cb90e2cc1dc3bd1506154",
+    "audit-w2-json": "0516711203306335e63d75b15019eecbd6fc82633e6a1f969b5a126051a271dc",
+    "audit-w2-csv": "d5e6838ca2a7b7ace614ab617b431be12e0a3667d7aed15732bcb7ecd78d330b",
+    "audit-w2-text": "7ce7afccd48e5ea9dc3fc9744e4ccc604e358ab6c67cb90e2cc1dc3bd1506154",
+    "census-low-json": "0f3421f02b445c101b01bc64c1e9f72b4149cacafb01844c510f75444737cbe1",
+    "census-low-csv": "e9ebbc96dff56495bf92f37794be0ad396cee299428d0ccb1dbf85271ea2b096",
+    "census-low-text": "d16c9ac93d6f86aff4ae8f4a447fecd88bb3fd1b2e3cf8e9e2fa60de4e72f8cc",
+    "census-high-json": "ecbba26f0783a34d474c62766c59368d974f49a61eb160508dc3fa312f8a82d7",
+    "census-high-csv": "973bbf715d4db234c99b25561b158732de8256824d273c8c1115a127c22bcc24",
+    "census-high-text": "46961e7fd6649e9ae57456dc2d2e4e958b15ebf9d03910a540e05b8dde85a11b",
+    "dc-record-json": "b38e906edf8b772e9543d9fd02e1bf527edcf89d06b9babcc53161b7b926aa86",
+    "dc-record-text": "c22dbd41b2d268dc2384db70b868e058921467fa99802bbb84f6553cb075ebab",
+    "dc-pairs-json": "5f6c825b0029b0cea8951b7c68cfe8e9bf98058fd8a4319e942e103e6e9a3022",
+    "dc-pairs-text": "c70fa4f4f426beba0176fb0e3c8dabbb6136c86d70760a7bacc2b2774a2dec5a",
+    "dc-odd-json": "e42de104563a7451dfeb6ae46d646d0569ac41ab76fadbd12d3e1e46b9b336f7",
+    "dc-odd-text": "b25cd58383b01ecc4a540b9056606480c982a404c330a9670c5dbeafa7ab1f14",
+    "sieve-json": "239ed1f2e65f4a6ec3df09aa3abf7ee2d70011cd376d5a58e260cd1408f83ba9",
+    "sieve-text": "12153d6e93c33a5dd1f645aba2fa54a9ec67076da9980ef60c80e3780ac24b4c",
+    "sieve-count-json": "6e32535caf1867a5ff2c678bb5dac15f29b322ab1ee68eb8ce020947c1c676e3",
+    "sieve-count-text": "1d1fd3c5e6023535048ccbb1506386c7c5198ae48ddfa8d5cfb275ae5b538f21",
+    "partition-json": "0297498c60f16c696f5eabc36169e3a744a262c18afc3438d244c677ba01b4e8",
+    "partition-text": "d361a8fe4ec9da2c02e39ee341b66770d6dd36f36a60e029cc332cc2ae71afe4",
+}
+
+
+def output_digest(argv, tmp_path):
+    path = tmp_path / "out"
+    assert main(argv + ["--output", str(path)]) == 0
+    return hashlib.sha256(_WALL_TIME.sub(b"", path.read_bytes())).hexdigest()
+
+
+@pytest.mark.parametrize("case, argv", CASES, ids=[c for c, _ in CASES])
+def test_output_bytes_are_pinned(case, argv, tmp_path):
+    assert output_digest(argv, tmp_path) == DIGESTS[case]

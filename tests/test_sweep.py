@@ -2,7 +2,9 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from goldbach_lab.cli import main
 from goldbach_lab.dc import goldbach_pairs
 from goldbach_lab.errors import CheckpointMismatch, NotEven
 from goldbach_lab.sweep import (
@@ -131,6 +133,64 @@ class TestCheckpointDocument:
     def test_failures_outside_bounds_rejected(self):
         with pytest.raises(CheckpointMismatch):
             checkpoint_from_json(make_checkpoint(failures=[2]))
+
+    def test_invalid_json_rejected(self):
+        with pytest.raises(CheckpointMismatch):
+            checkpoint_from_json('{"version": 1,')
+
+
+MISTYPED = [
+    {"from": "4"},
+    {"failures": "6"},
+    {"failures": ["6"]},
+    {"failures": None},
+    {"failures": [True]},
+    {"last_verified": 50.0},
+    {"to": 10000.0},
+    {"version": True},
+    {"started_at": 5},
+    {"updated_at": None},
+]
+MISTYPED_IDS = [f"{k}={json.dumps(v)}" for o in MISTYPED for k, v in o.items()]
+
+
+@pytest.mark.parametrize("override", MISTYPED, ids=MISTYPED_IDS)
+class TestMistypedCheckpointFields:
+    def test_parser_rejects(self, override):
+        with pytest.raises(CheckpointMismatch, match="wrong type"):
+            checkpoint_from_json(make_checkpoint(**override))
+
+    def test_verify_exits_two(self, override, tmp_path, capsys):
+        path = tmp_path / "cp.json"
+        path.write_text(make_checkpoint(**override))
+        argv = ["verify", "--from", "4", "--to", "10000", "--checkpoint", str(path)]
+        assert main(argv) == 2
+        assert "wrong type" in capsys.readouterr().err
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+# values a well-formed checkpoint could hold, so some documents parse
+PLAUSIBLE = st.sampled_from([4, 50, 10000, 1, T0, [6], []])
+FIELDS = ("version", "from", "to", "last_verified", "failures", "started_at", "updated_at")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fixed_dictionaries({key: PLAUSIBLE | JSON_VALUES for key in FIELDS}))
+def test_any_seven_key_object_parses_or_mismatches(doc):
+    try:
+        cp = checkpoint_from_json(json.dumps(doc))
+    except CheckpointMismatch:
+        return
+    assert cp.version == CHECKPOINT_VERSION
+    assert cp.from_even <= cp.last_verified <= cp.to_even
+    ints = (cp.from_even, cp.to_even, cp.last_verified, *cp.failures)
+    assert all(type(n) is int for n in ints)
+    assert type(cp.started_at) is str and type(cp.updated_at) is str
 
 
 class TestCheckpointFiles:

@@ -18,6 +18,7 @@ DEFAULT_SEGMENT_CAP = 1 << 26  # max entries per sieved segment
 DEFAULT_NTH_PRIME_LIMIT = 1 << 32  # largest value nth_prime will sieve toward
 
 _WORD_LIMIT = 1 << 64
+_BASE_TABLE_STEP = 1 << 16  # base-prime tables are built in multiples of this
 
 # Sinclair's bases: Miller-Rabin with these is exact for every n < 2**64.
 _MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
@@ -128,10 +129,16 @@ def sieve_segment(lo: int, hi: int, *, cap: int = DEFAULT_SEGMENT_CAP) -> PrimeS
         mask = bytearray(b"\x01") * n_odd
         if first_odd == 1:
             mask[0] = 0
-        for p in base_primes(isqrt(hi)):
+        # Rounding the table size up lets every segment of a sweep share one
+        # cached table; the break keeps the extra primes out of the loop.
+        for p in base_primes(-(-isqrt(hi) // _BASE_TABLE_STEP) * _BASE_TABLE_STEP):
+            start = p * p
+            if start > hi:
+                break
             if p == 2:
                 continue
-            start = max(p * p, (lo + p - 1) // p * p)
+            if start < lo:
+                start = lo + (-lo) % p
             if start % 2 == 0:
                 start += p
             if start > hi:

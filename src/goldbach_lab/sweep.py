@@ -1,11 +1,15 @@
 """Checkpointed bulk verification that every even splits into two primes.
 
-The fast path works blockwise on big-integer bitsets: with segment primes
-packed one byte apart, ``prime_bits << 8*p`` marks every sum p + q, so one
-shift-and-mask per small prime resolves a whole block of evens.  Evens left
-unresolved by every small prime (none are expected below the known search
-records) fall back to the exhaustive dc search, which either produces a
-pair or reports the even as a failure.
+The fast path works blockwise on big-integer bitsets.  The segment's odd
+integers are packed one bit each, bit k standing for ``first_odd + 2k``,
+and the block's evens likewise, bit j standing for ``lo + 2j``.  An even
+lo + 2j is p + q for an odd prime p exactly when bit j + s of the prime
+bits is set, with s = (lo - p - first_odd) / 2, so one shift-and-mask per
+small odd prime resolves a whole block of evens (4 = 2 + 2 is the only
+sum that uses the even prime).  Evens left unresolved by every small
+prime (none are expected below the known search records) fall back to
+the exhaustive dc search, which either produces a pair or reports the
+even as a failure.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ DEFAULT_CHECKPOINT_STRIDE = 1 << 20  # evens between checkpoint writes
 CHECKPOINT_VERSION = 1
 
 _PAIR_PRIME_BOUND = 1 << 14  # small-prime budget before the exhaustive fallback
+_FLAG_DIGITS = bytes.maketrans(b"\0\1", b"01")  # sieve flags -> base-2 digits
 
 _INT_FIELDS = ("version", "from", "to", "last_verified")
 _STR_FIELDS = ("started_at", "updated_at")
@@ -72,21 +77,26 @@ def verify_block(lo: int, hi: int) -> list[int]:
         raise NotEven(f"block bounds must be even, got [{lo}, {hi}]")
     seg_lo = max(2, lo - _PAIR_PRIME_BOUND)
     seg = sieve_segment(seg_lo, hi)
-    # bit 8*(n - seg_lo) marks prime n; shifting by 8*p lands on p + q
-    prime_bits = int.from_bytes(seg.flags, "little")
-    targets = bytearray(hi - seg_lo + 1)
-    targets[lo - seg_lo :: 2] = b"\x01" * ((hi - lo) // 2 + 1)
-    unresolved = int.from_bytes(bytes(targets), "little")
+    # bit k of odd_bits: first_odd + 2k is prime; bit j of unresolved: lo + 2j
+    first_odd = seg_lo | 1
+    odd_flags = seg.flags[first_odd - seg_lo :: 2]
+    odd_bits = int(odd_flags[::-1].translate(_FLAG_DIGITS), 2)
+    unresolved = (1 << max(0, (hi - lo) // 2 + 1)) - 1
+    if lo <= 4 <= hi:
+        unresolved &= ~(1 << (4 - lo) // 2)  # 4 = 2 + 2, the one sum using 2
     for p in base_primes(_PAIR_PRIME_BOUND):
-        unresolved &= ~(prime_bits << (8 * p))
+        if p == 2:
+            continue
+        # lo + 2j - p = first_odd + 2(j + s); s < 0 only when seg_lo was clamped to 2
+        s = (lo - p - first_odd) // 2
+        unresolved &= ~(odd_bits >> s if s >= 0 else odd_bits << -s)
         if not unresolved:
             return []
     failures = []
-    raw = unresolved.to_bytes((unresolved.bit_length() + 7) // 8, "little")
-    for offset, byte in enumerate(raw):
-        if byte:
+    for j, bit in enumerate(bin(unresolved)[:1:-1]):
+        if bit == "1":
             try:
-                dc_min(seg_lo + offset)
+                dc_min(lo + 2 * j)
             except GoldbachCounterexample as exc:
                 failures.append(exc.target)
     return failures

@@ -68,6 +68,12 @@ class TestDcMin:
             ]
             assert smaller == []
 
+    def test_published_minimal_partition_record(self):
+        # p(3325581707333960528) = 9781: the largest minimal Goldbach prime
+        # found below 4*10^18 (Oliveira e Silva, Herzog & Pardi,
+        # Math. Comp. 83 (2014) 2033-2060).
+        assert dc_min(3325581707333960528).witness[0] == 9781
+
     @settings(max_examples=150, deadline=None)
     @given(target=st.integers(2, 10**5))
     def test_witness_soundness(self, target):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -63,6 +65,37 @@ class TestSieveSegment:
         sub_lo = data.draw(st.integers(lo, hi))
         sub_hi = data.draw(st.integers(sub_lo, hi))
         assert seg.restrict(sub_lo, sub_hi) == sieve_segment(sub_lo, sub_hi)
+
+    @pytest.mark.parametrize(
+        "magnitude, windows",
+        [(10**9, 3), (10**12, 3), (10**14, 2)],
+    )
+    def test_random_windows_at_magnitude(self, magnitude, windows):
+        rng = random.Random(magnitude)
+        for _ in range(windows):
+            lo = magnitude + rng.randrange(10**6)
+            hi = lo + 2000
+            assert sieve_segment(lo, hi).primes() == [
+                n for n in range(lo, hi + 1) if is_prime(n)
+            ]
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            999983,  # largest prime below 10^6
+            65521,  # largest prime below 2^16
+            65537,  # 65537^2 = 4295098369: the sieve needs primes past 2^16
+        ],
+    )
+    def test_windows_ending_near_a_prime_square(self, p):
+        # The sieve needs p exactly when hi >= p^2; windows ending just below,
+        # at and just past p^2 check that it stops at the right prime.
+        square = p * p
+        windows = ((square - 2000, square - 1), (square - 2000, square), (square - 1000, square + 1000))
+        for lo, hi in windows:
+            assert sieve_segment(lo, hi).primes() == [
+                n for n in range(lo, hi + 1) if is_prime(n)
+            ]
 
     def test_iter_segments_cover_exactly(self):
         segs = list(iter_segments(1, 1000, cap=64))

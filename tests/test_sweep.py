@@ -4,8 +4,9 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from goldbach_lab import sweep
 from goldbach_lab.cli import main
-from goldbach_lab.dc import goldbach_pairs
+from goldbach_lab.dc import dc_min, goldbach_pairs
 from goldbach_lab.errors import CheckpointMismatch, NotEven
 from goldbach_lab.sweep import (
     CHECKPOINT_VERSION,
@@ -50,6 +51,26 @@ class TestVerifyBlock:
     def test_odd_bounds_rejected(self):
         with pytest.raises(NotEven):
             verify_block(5, 100)
+
+    @pytest.mark.parametrize("bound", [2, 3, 13, 31])
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(4, 4), (6, 6), (4, 600), (998, 1400), (10**6, 10**6 + 2000), (10**12, 10**12 + 2000)],
+    )
+    def test_fallback_gets_exactly_the_unresolved_evens(self, monkeypatch, bound, lo, hi):
+        # With a tiny pair-prime budget the mask pass leaves evens whose
+        # smallest Goldbach prime exceeds it; those, and only those, must
+        # reach dc_min, in ascending order.
+        seen = []
+
+        def recording_dc_min(n):
+            seen.append(n)
+            return dc_min(n)
+
+        monkeypatch.setattr(sweep, "_PAIR_PRIME_BOUND", bound)
+        monkeypatch.setattr(sweep, "dc_min", recording_dc_min)
+        assert verify_block(lo, hi) == []
+        assert seen == [n for n in range(lo, hi + 1, 2) if dc_min(n).witness[0] > bound]
 
 
 class TestRunVerify:

@@ -7,8 +7,10 @@ sieve of Eratosthenes with odd-only marking.  No probabilistic verdicts.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress, islice
 from math import isqrt, log
 from typing import Iterator
 
@@ -72,7 +74,7 @@ def base_primes(limit: int) -> tuple[int, ...]:
         if flags[p]:
             start = p * p
             flags[start :: p] = b"\x00" * ((limit - start) // p + 1)
-    return tuple(i for i, f in enumerate(flags) if f)
+    return tuple(compress(range(limit + 1), flags))
 
 
 @dataclass(frozen=True)
@@ -97,8 +99,7 @@ class PrimeSegment:
         return self.flags.count(1)
 
     def primes(self) -> list[int]:
-        lo = self.lo
-        return [lo + k for k, f in enumerate(self.flags) if f]
+        return list(compress(range(self.lo, self.hi + 1), self.flags))
 
     def restrict(self, lo: int, hi: int) -> PrimeSegment:
         """Sub-segment; equal to sieving [lo, hi] directly."""
@@ -130,21 +131,14 @@ def sieve_segment(lo: int, hi: int, *, cap: int = DEFAULT_SEGMENT_CAP) -> PrimeS
         if first_odd == 1:
             mask[0] = 0
         # Rounding the table size up lets every segment of a sweep share one
-        # cached table; the break keeps the extra primes out of the loop.
-        for p in base_primes(-(-isqrt(hi) // _BASE_TABLE_STEP) * _BASE_TABLE_STEP):
-            start = p * p
-            if start > hi:
-                break
-            if p == 2:
-                continue
-            if start < lo:
-                start = lo + (-lo) % p
-            if start % 2 == 0:
-                start += p
-            if start > hi:
-                continue
-            i = (start - first_odd) // 2
-            mask[i::p] = b"\x00" * ((n_odd - 1 - i) // p + 1)
+        # cached table; the bisect keeps the extra primes, and 2, out of the loop.
+        table = base_primes(-(-isqrt(hi) // _BASE_TABLE_STEP) * _BASE_TABLE_STEP)
+        h = first_odd >> 1  # mask index of an odd n is (n >> 1) - h
+        for p in islice(table, 1, bisect_right(table, isqrt(hi))):
+            # first odd multiple of p to strike: p*p, or the first at or past first_odd
+            i = (p * p >> 1) - h if p * p >= first_odd else ((p >> 1) - h) % p
+            if i < n_odd:  # large primes often miss a short segment altogether
+                mask[i::p] = b"\x00" * ((n_odd - 1 - i) // p + 1)
         flags[first_odd - lo :: 2] = mask
     return PrimeSegment(lo, hi, bytes(flags))
 

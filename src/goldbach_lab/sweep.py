@@ -1,15 +1,22 @@
 """Checkpointed bulk verification that every even splits into two primes.
 
 The fast path works blockwise on big-integer bitsets.  The segment's odd
-integers are packed one bit each, bit k standing for ``first_odd + 2k``,
-and the block's evens likewise, bit j standing for ``lo + 2j``.  An even
-lo + 2j is p + q for an odd prime p exactly when bit j + s of the prime
-bits is set, with s = (lo - p - first_odd) / 2, so one shift-and-mask per
-small odd prime resolves a whole block of evens (4 = 2 + 2 is the only
-sum that uses the even prime).  Evens left unresolved by every small
-prime (none are expected below the known search records) fall back to
-the exhaustive dc search, which either produces a pair or reports the
-even as a failure.
+integers are packed one bit each into ``not_prime``, bit k set exactly when
+``first_odd + 2k`` is not prime, and the block's evens likewise into
+``unresolved``, bit j standing for ``lo + 2j``.  An even lo + 2j is p + q
+for an odd prime p exactly when bit j + s of ``not_prime`` is clear, with
+s = (lo - p - first_odd) / 2, so one shift and one AND per small odd prime
+resolve a whole block of evens (4 = 2 + 2 is the only sum that uses the
+even prime).  Evens left unresolved by every small prime (none are
+expected below the known search records) fall back to the exhaustive dc
+search, which either produces a pair or reports the even as a failure.
+
+A block holds the power of two just above sqrt(to) evens, but at least
+``BLOCK_EVENS`` and at most 2^20.  The sieve walks every base prime up to
+sqrt(hi) once per block, so blocks sized to sqrt(hi) keep that walk from
+dominating at high magnitudes, and the cap bounds a block's memory.  The
+size depends on the sweep's last even alone, so the blocks, and with them
+the output, are the same at any worker count and after a resume.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ import os
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from math import isqrt
 from typing import Optional
 
 from ._dispatch import ordered_map
@@ -26,12 +34,13 @@ from .dc import dc_min
 from .errors import CheckpointMismatch, GoldbachCounterexample, NotEven
 from .primes import base_primes, sieve_segment
 
-BLOCK_EVENS = 1 << 16  # evens handed to a worker at a time
+BLOCK_EVENS = 1 << 16  # fewest evens handed to a worker at a time
+_MAX_BLOCK_EVENS = 1 << 20  # most evens in one block, whatever the magnitude
 DEFAULT_CHECKPOINT_STRIDE = 1 << 20  # evens between checkpoint writes
 CHECKPOINT_VERSION = 1
 
 _PAIR_PRIME_BOUND = 1 << 14  # small-prime budget before the exhaustive fallback
-_FLAG_DIGITS = bytes.maketrans(b"\0\1", b"01")  # sieve flags -> base-2 digits
+_NOT_PRIME_DIGITS = bytes.maketrans(b"\0\1", b"10")  # sieve flags -> not_prime digits
 
 _INT_FIELDS = ("version", "from", "to", "last_verified")
 _STR_FIELDS = ("started_at", "updated_at")
@@ -77,19 +86,18 @@ def verify_block(lo: int, hi: int) -> list[int]:
         raise NotEven(f"block bounds must be even, got [{lo}, {hi}]")
     seg_lo = max(2, lo - _PAIR_PRIME_BOUND)
     seg = sieve_segment(seg_lo, hi)
-    # bit k of odd_bits: first_odd + 2k is prime; bit j of unresolved: lo + 2j
+    # bit k of not_prime: first_odd + 2k is not prime; bit j of unresolved: lo + 2j
     first_odd = seg_lo | 1
     odd_flags = seg.flags[first_odd - seg_lo :: 2]
-    odd_bits = int(odd_flags[::-1].translate(_FLAG_DIGITS), 2)
+    not_prime = int(odd_flags[::-1].translate(_NOT_PRIME_DIGITS), 2)
     unresolved = (1 << max(0, (hi - lo) // 2 + 1)) - 1
     if lo <= 4 <= hi:
         unresolved &= ~(1 << (4 - lo) // 2)  # 4 = 2 + 2, the one sum using 2
-    for p in base_primes(_PAIR_PRIME_BOUND):
-        if p == 2:
-            continue
-        # lo + 2j - p = first_odd + 2(j + s); s < 0 only when seg_lo was clamped to 2
+    for p in base_primes(_PAIR_PRIME_BOUND)[1:]:
+        # lo + 2j - p = first_odd + 2(j + s); s < 0 only when seg_lo was clamped
+        # to 2, and then the evens whose partner lies below 3 stay unresolved
         s = (lo - p - first_odd) // 2
-        unresolved &= ~(odd_bits >> s if s >= 0 else odd_bits << -s)
+        unresolved &= not_prime >> s if s >= 0 else (not_prime << -s) | ((1 << -s) - 1)
         if not unresolved:
             return []
     failures = []
@@ -107,10 +115,12 @@ def _verify_block_task(block: tuple[int, int]) -> list[int]:
 
 
 def _blocks(first: int, last: int) -> list[tuple[int, int]]:
+    """Consecutive even-bounded blocks covering [first, last], sized by last."""
+    evens = max(BLOCK_EVENS, min(_MAX_BLOCK_EVENS, 1 << isqrt(last).bit_length()))
     out = []
     lo = first
     while lo <= last:
-        hi = min(lo + 2 * (BLOCK_EVENS - 1), last)
+        hi = min(lo + 2 * (evens - 1), last)
         out.append((lo, hi))
         lo = hi + 2
     return out
@@ -196,9 +206,10 @@ def run_verify(
 ) -> SweepSummary:
     """Verify a two-prime decomposition for every even in [from_even, to_even].
 
-    With a checkpoint path, progress is persisted every ``checkpoint_stride``
-    evens and a matching checkpoint resumes after last_verified.  Blocks are
-    merged in order, so the summary is independent of the worker count.
+    With a checkpoint path, progress is persisted at the first block end at
+    or after each ``checkpoint_stride`` evens, and a matching checkpoint
+    resumes after last_verified.  Blocks are merged in order, so the summary
+    is independent of the worker count.
     """
     if from_even % 2 or to_even % 2:
         raise NotEven(f"bounds must be even, got [{from_even}, {to_even}]")

@@ -17,6 +17,9 @@ _WALL_TIME = re.compile(rb" in \d+\.\d\d s")
 COMMANDS = {
     "verify-w1": ["verify", "--from", "4", "--to", "300000", "--workers", "1"],
     "verify-w2": ["verify", "--from", "4", "--to", "300000", "--workers", "2"],
+    # two sweep blocks at 10^12, where a block holds 2^20 evens
+    "verify-high": ["verify", "--from", str(10**12),
+                    "--to", str(10**12 + 2 * ((1 << 20) + (1 << 10))), "--workers", "1"],
     "audit-w1": ["audit", "--from", "1", "--to", "600", "--row-width", "20",
                  "--workers", "1"],
     "audit-w2": ["audit", "--from", "1", "--to", "600", "--row-width", "20",
@@ -50,6 +53,8 @@ DIGESTS = {
     "verify-w1-text": "a1a4a3a3fe7cf5bc2127bc2d47c9535ed730df1d8b308977381ca04a4fa17035",
     "verify-w2-json": "e451126c2b9db865157625f54cf38745618ab25eaedae08c687263cca160af93",
     "verify-w2-text": "a1a4a3a3fe7cf5bc2127bc2d47c9535ed730df1d8b308977381ca04a4fa17035",
+    "verify-high-json": "c038960cd187d432ed6bce7e65537deb724380c2ea2988f2d9b052f3e24942dc",
+    "verify-high-text": "1a75a86da17b7f8be0f3be12c1a3a5c0fac531f9e348f564bb9560f42951129b",
     "audit-w1-json": "0516711203306335e63d75b15019eecbd6fc82633e6a1f969b5a126051a271dc",
     "audit-w1-csv": "d5e6838ca2a7b7ace614ab617b431be12e0a3667d7aed15732bcb7ecd78d330b",
     "audit-w1-text": "7ce7afccd48e5ea9dc3fc9744e4ccc604e358ab6c67cb90e2cc1dc3bd1506154",

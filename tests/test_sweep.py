@@ -1,13 +1,18 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import goldbach_lab
 from goldbach_lab import sweep
 from goldbach_lab.cli import main
 from goldbach_lab.dc import dc_min, goldbach_pairs
 from goldbach_lab.errors import CheckpointMismatch, NotEven
+from goldbach_lab.primes import PrimeSegment
 from goldbach_lab.sweep import (
     CHECKPOINT_VERSION,
     SweepCheckpoint,
@@ -20,6 +25,10 @@ from goldbach_lab.sweep import (
 )
 
 T0 = "2024-01-01T00:00:00Z"
+
+# near 10^12 a block holds 2^20 evens; this window needs two of them
+HIGH_LO = 10**12
+HIGH_HI = HIGH_LO + 2 * ((1 << 20) + (1 << 12))
 
 
 def make_checkpoint(**overrides):
@@ -72,6 +81,63 @@ class TestVerifyBlock:
         assert verify_block(lo, hi) == []
         assert seen == [n for n in range(lo, hi + 1, 2) if dc_min(n).witness[0] > bound]
 
+    @pytest.mark.parametrize("lo, hi", [(4, 600), (6, 6), (10**6, 10**6 + 200)])
+    def test_mask_pass_resolves_only_what_the_sieve_shows(self, monkeypatch, lo, hi):
+        # A sieve that reports no primes must leave every even but 4 to the
+        # fallback; in particular the evens whose partner would lie below
+        # the segment (left shifts) must not be taken as resolved.
+        seen = []
+
+        def recording_dc_min(n):
+            seen.append(n)
+            return dc_min(n)
+
+        monkeypatch.setattr(
+            sweep, "sieve_segment", lambda a, b: PrimeSegment(a, b, bytes(b - a + 1))
+        )
+        monkeypatch.setattr(sweep, "dc_min", recording_dc_min)
+        assert verify_block(lo, hi) == []
+        assert seen == [n for n in range(lo, hi + 1, 2) if n != 4]
+
+
+def block_evens(block):
+    lo, hi = block
+    return (hi - lo) // 2 + 1
+
+
+class TestBlocks:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        first=st.integers(2, 10**15).map(lambda n: 2 * n),
+        span=st.integers(0, 1 << 22),
+    )
+    def test_blocks_tile_the_range(self, first, span):
+        last = first + 2 * span
+        blocks = sweep._blocks(first, last)
+        assert blocks[0][0] == first and blocks[-1][1] == last
+        for lo, hi in blocks:
+            assert lo % 2 == 0 and hi % 2 == 0 and lo <= hi
+        for (_, hi), (lo, _) in zip(blocks, blocks[1:]):
+            assert lo == hi + 2
+        sizes = {block_evens(b) for b in blocks[:-1]}
+        assert len(sizes) <= 1 and block_evens(blocks[-1]) <= block_evens(blocks[0])
+        assert block_evens(blocks[0]) <= 1 << 20
+
+    @pytest.mark.parametrize(
+        "last, evens",
+        [(10**7, 1 << 16), (10**9, 1 << 16), (10**10, 1 << 17), (10**12, 1 << 20),
+         (10**14, 1 << 20), (10**18, 1 << 20), (2**64 - 2, 1 << 20)],
+    )
+    def test_block_size_follows_the_square_root_of_the_last_even(self, last, evens):
+        first = last - 2 * (3 << 20)
+        assert block_evens(sweep._blocks(first, last)[0]) == evens
+
+    def test_block_size_depends_on_the_last_even_only(self):
+        # a resumed sweep starts mid-range and must cut blocks of the same size
+        assert len(sweep._blocks(HIGH_LO, HIGH_HI)) == 2
+        resumed = sweep._blocks(HIGH_LO + 2 * 1000, HIGH_HI)
+        assert [block_evens(b) for b in resumed] == [1 << 20, (1 << 12) - 999]
+
 
 class TestRunVerify:
     def test_single_even(self):
@@ -108,6 +174,49 @@ class TestRunVerify:
         cp = read_checkpoint(path)
         assert cp.last_verified == 4 * (1 << 17)
         assert cp.failures == summary.failures == ()
+
+    def test_high_window_same_at_any_worker_count_and_after_resume(self, tmp_path):
+        fresh = run_verify(HIGH_LO, HIGH_HI)
+        assert fresh.verified == (HIGH_HI - HIGH_LO) // 2 + 1 and fresh.failures == ()
+        two = run_verify(HIGH_LO, HIGH_HI, workers=2)
+        path = str(tmp_path / "cp.json")
+        mid_block = HIGH_LO + 2 * 1000
+        write_checkpoint(
+            path, SweepCheckpoint(CHECKPOINT_VERSION, HIGH_LO, HIGH_HI, mid_block, (), T0, T0)
+        )
+        resumed = run_verify(HIGH_LO, HIGH_HI, workers=2, checkpoint_path=path)
+        assert resumed.resumed_from == mid_block
+        assert read_checkpoint(path).last_verified == HIGH_HI
+        for other in (two, resumed):
+            assert (other.verified, other.failures) == (fresh.verified, fresh.failures)
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"), reason="needs VmHWM from procfs"
+    )
+    def test_peak_memory_is_bounded_near_1e14(self, tmp_path):
+        # 2^20 + 2 evens: one full-size block and one of a single even pair,
+        # each sieving with the base primes up to 10^7
+        lo = 10**14
+        hi = lo + 2 * ((1 << 20) + 1)
+        code = (
+            "import sys\n"
+            "from goldbach_lab.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "with open('/proc/self/status') as fh:\n"
+            "    print(next(l for l in fh if l.startswith('VmHWM:')).split()[1])\n"
+        )
+        src = str(Path(goldbach_lab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / "out.json"
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "verify", "--from", str(lo), "--to", str(hi),
+             "--format", "json", "--output", str(out)],
+            capture_output=True, text=True, env=env, timeout=300, check=True,
+        )
+        assert json.loads(out.read_text())["payload"]["verified"] == (1 << 20) + 2
+        peak_kib = int(proc.stdout.split()[-1])
+        assert peak_kib < 128 * 1024, f"peak RSS {peak_kib} KiB"
 
 
 class TestCheckpointDocument:

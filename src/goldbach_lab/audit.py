@@ -10,6 +10,12 @@ comparator, and ids (12)-(18) mix counts with sums and admit no consistent
 arithmetic reading, so neither group is evaluated.  The usable inequality
 forms of the latter appear as (19) and (20), with the rewriting flagged in
 their detail text.
+
+An even A > 2 is not prime, so DC(A) = 2 exactly when some p + q = A.  The
+sweep's pair-mask pass (``sweep.verify_block``) finds such a pair for every
+even it resolves; the evens it returns go to ``dc_min``, which raises for
+them.  So an audited even's ``dc_value`` is 2, and its checks depend on the
+census alone: they are evaluated once per census and the tuple is shared.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from .census import RowCensus, census_row, row_segments
 from .dc import dc_min
 from .primes import DEFAULT_SEGMENT_CAP, PrimeSegment
 from .rowrange import Range, Row, partition_rows
+from .sweep import _blocks, _verify_block_task
 
 #: Relations evaluated once per row, from the census alone.
 ROW_RELATIONS = ("A1", "A2", "A3", "(3)", "(23)", "(24)", "(27)", "(28)", "(29)", "(31)")
@@ -195,6 +202,32 @@ def _relation_filter(relations: Optional[Sequence[str]]) -> frozenset[str]:
     return frozenset(relations)
 
 
+def _prove_pairs(start: int, end: int, workers: int) -> None:
+    """Raise GoldbachCounterexample unless every even A > 2 in [start, end] is p + q."""
+    first, last = max(4, start + start % 2), end - end % 2
+    blocks = _blocks(first, last) if first <= last else []
+    for found in ordered_map(_verify_block_task, blocks, workers if len(blocks) > 1 else 1):
+        for target in found:
+            dc_min(target)  # the pass's own exhaustive fallback, so it raises too
+
+
+def _audit_row(task: tuple) -> AuditReport:
+    """Audit one row whose evens _prove_pairs has covered.
+
+    ``shared`` maps a census to its rows' per-even checks; in-process every
+    row of an audit gets the same dict, a pool worker a copy per row.
+    """
+    row, wanted, segment, shared = task
+    census = census_row(row, segment)
+    row_checks = tuple(c for c in evaluate_row_relations(census) if c.relation_id in wanted)
+    evens = range(max(4, row.start + row.start % 2), row.end + 1, 2)
+    if evens and census not in shared:
+        checks = evaluate_even_relations(evens[0], 2, census)  # DC(A) = 2, module docstring
+        shared[census] = tuple(c for c in checks if c.relation_id in wanted)
+    per_even = tuple(EvenAudit(a, 2, shared[census]) for a in evens)
+    return AuditReport(row, census, row_checks, per_even)
+
+
 def audit_row(
     row: Row,
     relations: Optional[Sequence[str]] = None,
@@ -203,52 +236,30 @@ def audit_row(
     """Evaluate the configured relations on one row.
 
     Row-level relations use the census alone; per-even relations are
-    evaluated for every even A > 2 in the row with dc_min(A).  A row with
-    no such evens yields an empty per_even section.
+    evaluated for every even A > 2 in the row with DC(A) (see the module
+    docstring).  A row with no such evens yields an empty per_even section.
     """
     wanted = _relation_filter(relations)
-    census = census_row(row, segment)
-    row_checks = tuple(
-        c for c in evaluate_row_relations(census) if c.relation_id in wanted
-    )
-    first_even = max(4, row.start + row.start % 2)
-    per_even = []
-    for target in range(first_even, row.end + 1, 2):
-        value = dc_min(target).value
-        checks = tuple(
-            c
-            for c in evaluate_even_relations(target, value, census)
-            if c.relation_id in wanted
-        )
-        per_even.append(EvenAudit(target, value, checks))
-    return AuditReport(row, census, row_checks, tuple(per_even))
+    _prove_pairs(row.start, row.end, 1)
+    return _audit_row((row, wanted, segment, {}))
 
 
 def summarize(reports: Sequence[AuditReport]) -> dict[str, dict[str, int]]:
-    """Held/failed counts per relation id, in catalog order."""
-    held: Counter[str] = Counter()
-    failed: Counter[str] = Counter()
-    seen: set[str] = set()
-    for report in reports:
-        checks = list(report.row_checks)
-        for even in report.per_even:
-            checks.extend(even.checks)
+    """Held/failed counts per relation id, in catalog order.
+
+    Each distinct checks tuple is tallied once, times the number of its users.
+    """
+    lists = [r.row_checks for r in reports] + [e.checks for r in reports for e in r.per_even]
+    users = Counter(map(id, lists))
+    tally: Counter[tuple[str, bool]] = Counter()
+    for checks in {id(c): c for c in lists}.values():
         for check in checks:
-            seen.add(check.relation_id)
-            if check.holds:
-                held[check.relation_id] += 1
-            else:
-                failed[check.relation_id] += 1
+            tally[check.relation_id, check.holds] += users[id(checks)]
     return {
-        rid: {"failed": failed[rid], "held": held[rid]}
+        rid: {"failed": tally[rid, False], "held": tally[rid, True]}
         for rid in ALL_RELATIONS
-        if rid in seen
+        if tally[rid, False] or tally[rid, True]
     }
-
-
-def _audit_row_task(task: tuple) -> AuditReport:
-    row, segment, relations = task
-    return audit_row(row, relations, segment)
 
 
 def audit_range(
@@ -264,9 +275,10 @@ def audit_range(
     Results are merged in row order, so the output is identical for any
     worker count.
     """
-    _relation_filter(relations)
+    wanted = _relation_filter(relations)
     rows = partition_rows(rng, width)
-    rel_tuple = tuple(relations) if relations is not None else None
-    tasks = ((row, seg, rel_tuple) for row, seg in row_segments(rows, cap))
-    reports = tuple(ordered_map(_audit_row_task, tasks, workers))
+    _prove_pairs(rng.start, rng.end, workers)
+    shared: dict[RowCensus, tuple[RelationCheck, ...]] = {}
+    tasks = ((row, wanted, seg, shared) for row, seg in row_segments(rows, cap))
+    reports = tuple(ordered_map(_audit_row, tasks, workers))
     return RangeAudit(reports, summarize(reports))

@@ -81,7 +81,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         text = serialize.to_json(
             "audit",
             {"from": args.from_, "to": args.to, "width": args.row_width},
-            serialize.audit_payload(result),
+            *serialize.audit_payload(result),
         )
     elif args.format == "csv":
         text = serialize.audit_csv(result)

@@ -10,7 +10,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import Any, Union
+import re
+from typing import Any, Callable, Optional, Union
 
 from . import __version__ as TOOL_VERSION
 from .audit import AuditReport, RangeAudit, RelationCheck
@@ -21,17 +22,28 @@ from .rowrange import Row
 from .sweep import SweepSummary
 
 FORMATS = ("json", "csv", "text")
+_FRAGMENT = re.compile(r'"\\u0000(\d+)\\u0000"')  # json escapes NUL as \u0000
 
 
-def to_json(command: str, parameters: dict[str, Any], payload: Any) -> str:
-    """One command's result in the fixed JSON envelope."""
+def to_json(
+    command: str, parameters: dict[str, Any], payload: Any, fragments: Optional[dict] = None
+) -> str:
+    """One command's result in the fixed JSON envelope; a payload string "\\0<key>\\0"
+    (no payload string holds a NUL) stands for the JSON text fragments[key]."""
     doc = {
         "command": command,
         "parameters": parameters,
         "payload": payload,
         "tool_version": TOOL_VERSION,
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return _FRAGMENT.sub(lambda m: fragments[int(m[1])], text) if fragments else text
+
+
+def _per_checks(result: RangeAudit, render: Callable[[tuple], Any]) -> dict[int, Any]:
+    """render(checks) by id(checks), once per distinct per-even checks tuple."""
+    distinct = {id(e.checks): e.checks for r in result.reports for e in r.per_even}
+    return {key: render(checks) for key, checks in distinct.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -68,21 +80,22 @@ def _report_doc(report: AuditReport) -> dict[str, Any]:
         "census": _census_doc(report.census),
         "row_checks": [_check_doc(c) for c in report.row_checks],
         "per_even": [
-            {
-                "A": even.target,
-                "dc_value": even.dc_value,
-                "checks": [_check_doc(c) for c in even.checks],
-            }
-            for even in report.per_even
+            {"A": e.target, "dc_value": e.dc_value, "checks": f"\0{id(e.checks)}\0"}
+            for e in report.per_even
         ],
     }
 
 
-def audit_payload(result: RangeAudit) -> dict[str, Any]:
-    return {
-        "rows": [_report_doc(r) for r in result.reports],
-        "verdict_summary": result.summary,
-    }
+def _checks_fragment(checks: tuple[RelationCheck, ...]) -> str:
+    text = json.dumps([_check_doc(c) for c in checks], sort_keys=True, indent=2)
+    return text.replace("\n", "\n" + " " * 12)  # the list's depth in the envelope
+
+
+def audit_payload(result: RangeAudit) -> tuple[dict[str, Any], dict[int, str]]:
+    """The payload and the to_json fragment of each distinct per-even check list."""
+    rows = [_report_doc(r) for r in result.reports]
+    payload = {"rows": rows, "verdict_summary": result.summary}
+    return payload, _per_checks(result, _checks_fragment)
 
 
 def census_payload(items: list[tuple[Row, RowCensus]]) -> list[dict[str, Any]]:
@@ -160,10 +173,13 @@ def audit_csv(result: RangeAudit) -> str:
         writer.writerows(cells + _check_cells(check) for check in report.row_checks)
     buf.write("\n")
     writer.writerow(["row_start", "A", "dc_value"] + _CHECK_COLUMNS)
+    # no per-even cell needs quoting, so each check list's row tails render once
+    tails = _per_checks(result, lambda cs: [",".join(_check_cells(c)) + "\n" for c in cs])
     for report in result.reports:
         for even in report.per_even:
-            cells = [report.row.start, even.target, even.dc_value]
-            writer.writerows(cells + _check_cells(check) for check in even.checks)
+            prefix = f"{report.row.start},{even.target},{even.dc_value},"
+            if even.checks:
+                buf.write(prefix + prefix.join(tails[id(even.checks)]))
     return buf.getvalue()
 
 
@@ -186,7 +202,13 @@ def _census_line(row: Row, c: RowCensus) -> str:
     )
 
 
+def _failing_note(checks: tuple[RelationCheck, ...]) -> str:
+    failing = [ch.relation_id for ch in checks if not ch.holds]
+    return f" failing: {', '.join(failing)}" if failing else ""
+
+
 def audit_text(result: RangeAudit) -> str:
+    notes = _per_checks(result, _failing_note)
     lines = []
     for report in result.reports:
         lines.append(_census_line(report.row, report.census))
@@ -196,9 +218,7 @@ def audit_text(result: RangeAudit) -> str:
                 f"rhs={_cell(check.rhs_value)} holds={_cell(check.holds)}"
             )
         for even in report.per_even:
-            failing = [ch.relation_id for ch in even.checks if not ch.holds]
-            note = f" failing: {', '.join(failing)}" if failing else ""
-            lines.append(f"  A={even.target} dc={even.dc_value}{note}")
+            lines.append(f"  A={even.target} dc={even.dc_value}{notes[id(even.checks)]}")
     lines.append("summary (held/failed):")
     for rid, counts in result.summary.items():
         lines.append(f"  {rid}: {counts['held']}/{counts['failed']}")

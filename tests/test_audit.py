@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import goldbach_lab
+from goldbach_lab import audit, sweep
 from goldbach_lab.audit import (
     ALL_RELATIONS,
     EVEN_RELATIONS,
@@ -9,6 +16,9 @@ from goldbach_lab.audit import (
     audit_row,
     implication_eval,
 )
+from goldbach_lab.cli import main
+from goldbach_lab.dc import dc_oracle_table
+from goldbach_lab.errors import GoldbachCounterexample
 from goldbach_lab.rowrange import Range, Row
 
 
@@ -179,3 +189,125 @@ class TestAuditRange:
 
         with pytest.raises(NonDivisibleWidth):
             audit_range(Range(1, 100), 7)
+
+
+def naive_summary(result):
+    """Held/failed counts recounted check by check, in catalog order."""
+    counts = {}
+    for report in result.reports:
+        checks = list(report.row_checks)
+        for even in report.per_even:
+            checks.extend(even.checks)
+        for check in checks:
+            entry = counts.setdefault(check.relation_id, {"failed": 0, "held": 0})
+            entry["held" if check.holds else "failed"] += 1
+    return {rid: counts[rid] for rid in ALL_RELATIONS if rid in counts}
+
+
+def patched_dc_min(monkeypatch, target):
+    """Make dc_min raise for one even, wherever the sweep and the auditor call it."""
+    real = sweep.dc_min
+
+    def dc_min(n):
+        if n == target:
+            raise GoldbachCounterexample(n)
+        return real(n)
+
+    monkeypatch.setattr(sweep, "dc_min", dc_min)
+    monkeypatch.setattr(audit, "dc_min", dc_min)
+
+
+class TestAggregation:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @settings(max_examples=15, deadline=None)
+    @given(
+        start=st.integers(1, 10**5),
+        width=st.integers(1, 40),
+        rows=st.integers(1, 6),
+        relations=st.none() | st.sets(st.sampled_from(ALL_RELATIONS)).map(sorted),
+    )
+    def test_summary_equals_naive_recount(self, workers, start, width, rows, relations):
+        result = audit_range(
+            Range(start, start + width * rows - 1), width, relations, workers=workers
+        )
+        summary = naive_summary(result)
+        assert result.summary == summary
+        assert list(result.summary) == list(summary)
+
+    def test_dc_values_exact_when_the_fallback_runs(self, monkeypatch):
+        # with 3 as the only pair prime, most evens reach the sweep's fallback
+        monkeypatch.setattr(sweep, "_PAIR_PRIME_BOUND", 3)
+        fallback = []
+        real = sweep.dc_min
+        monkeypatch.setattr(sweep, "dc_min", lambda n: fallback.append(n) or real(n))
+        table = dc_oracle_table(2000)
+        result = audit_range(Range(1, 2000), 20)
+        evens = [e for report in result.reports for e in report.per_even]
+        assert [e.target for e in evens] == list(range(4, 2001, 2))
+        assert all(e.dc_value == table[e.target] for e in evens)
+        assert 98 in fallback  # 98 - 3 = 95 is not prime
+
+    def test_counterexample_propagates(self, monkeypatch):
+        monkeypatch.setattr(sweep, "_PAIR_PRIME_BOUND", 3)
+        patched_dc_min(monkeypatch, 98)
+        with pytest.raises(GoldbachCounterexample) as info:
+            audit_range(Range(1, 2000), 20)
+        assert info.value.target == 98
+        argv = ["audit", "--from", "1", "--to", "2000", "--row-width", "20"]
+        assert main(argv) == 2
+
+    def test_one_pair_pass_per_range_not_per_row(self, monkeypatch):
+        blocks = []
+        real = sweep.verify_block
+
+        def verify_block(lo, hi):
+            blocks.append((lo, hi))
+            return real(lo, hi)
+
+        monkeypatch.setattr(sweep, "verify_block", verify_block)
+        audit_range(Range(1, 2000), 20)
+        assert blocks == [(4, 2000)]
+        audit_row(Row(10**12 + 1, 10**12 + 100))
+        assert blocks[1:] == [(10**12 + 2, 10**12 + 100)]
+
+    def test_evens_with_one_key_share_one_checks_tuple(self):
+        result = audit_range(Range(1, 1000), 50)
+        first = {}
+        for report in result.reports:
+            for even in report.per_even:
+                key = (even.dc_value, report.census)
+                assert even.checks is first.setdefault(key, even.checks)
+        assert len(first) < len(result.reports)
+
+
+def peak_kib_of_audit(tmp_path, fmt):
+    """VmHWM, in KiB, of a fresh process that audits 1..10^5 in rows of 100."""
+    code = (
+        "import sys\n"
+        "from goldbach_lab.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    print(next(l for l in fh if l.startswith('VmHWM:')).split()[1])\n"
+    )
+    src = str(Path(goldbach_lab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = tmp_path / f"out.{fmt}"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "audit", "--from", "1", "--to", str(10**5),
+         "--row-width", "100", "--format", fmt, "--output", str(out)],
+        capture_output=True, text=True, env=env, timeout=300, check=True,
+    )
+    assert out.stat().st_size > 10**6
+    return int(proc.stdout.split()[-1])
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM from procfs")
+class TestAuditMemory:
+    def test_csv_peak_is_bounded(self, tmp_path):
+        peak_kib = peak_kib_of_audit(tmp_path, "csv")
+        assert peak_kib < 110 * 1024, f"peak RSS {peak_kib} KiB"
+
+    def test_json_peak_is_bounded(self, tmp_path):
+        peak_kib = peak_kib_of_audit(tmp_path, "json")
+        assert peak_kib < 512 * 1024, f"peak RSS {peak_kib} KiB"

@@ -24,6 +24,8 @@ COMMANDS = {
                  "--workers", "1"],
     "audit-w2": ["audit", "--from", "1", "--to", "600", "--row-width", "20",
                  "--workers", "2"],
+    "audit-high": ["audit", "--from", str(10**12 + 1), "--to", str(10**12 + 600),
+                   "--row-width", "20"],
     "census-low": ["census", "--from", "1", "--to", "1000", "--row-width", "100"],
     "census-high": ["census", "--from", str(10**12 + 1), "--to", str(10**12 + 600),
                     "--row-width", "50"],
@@ -61,6 +63,9 @@ DIGESTS = {
     "audit-w2-json": "0516711203306335e63d75b15019eecbd6fc82633e6a1f969b5a126051a271dc",
     "audit-w2-csv": "d5e6838ca2a7b7ace614ab617b431be12e0a3667d7aed15732bcb7ecd78d330b",
     "audit-w2-text": "7ce7afccd48e5ea9dc3fc9744e4ccc604e358ab6c67cb90e2cc1dc3bd1506154",
+    "audit-high-json": "1b0331369c076f267d0b350340ccc1b256ababa0eff309781bfcabb4590d5ca7",
+    "audit-high-csv": "ac6f10287ffd7ac289d7f253d2a92c6b79ba18d72c25d56dbef9b7bd8d50d4d8",
+    "audit-high-text": "fbdc29b67749d1d2810a0d9f83b557bf3952abbee43e1d1d2b11d4341011158a",
     "census-low-json": "0f3421f02b445c101b01bc64c1e9f72b4149cacafb01844c510f75444737cbe1",
     "census-low-csv": "e9ebbc96dff56495bf92f37794be0ad396cee299428d0ccb1dbf85271ea2b096",
     "census-low-text": "d16c9ac93d6f86aff4ae8f4a447fecd88bb3fd1b2e3cf8e9e2fa60de4e72f8cc",

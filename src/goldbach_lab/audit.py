@@ -12,10 +12,10 @@ forms of the latter appear as (19) and (20), with the rewriting flagged in
 their detail text.
 
 An even A > 2 is not prime, so DC(A) = 2 exactly when some p + q = A.  The
-sweep's pair-mask pass (``sweep.verify_block``) finds such a pair for every
-even it resolves; the evens it returns go to ``dc_min``, which raises for
-them.  So an audited even's ``dc_value`` is 2, and its checks depend on the
-census alone: they are evaluated once per census and the tuple is shared.
+audit composes the other engines: ``census_range`` counts the rows, and one
+``sweep.run_verify`` over the range's evens (the only pooled step) finds
+such a pair for each or raises.  So an audited even's ``dc_value`` is 2 and
+its checks depend on the census alone: one tuple per census, shared by rows.
 """
 
 from __future__ import annotations
@@ -24,12 +24,11 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from ._dispatch import ordered_map
-from .census import RowCensus, census_row, row_segments
-from .dc import dc_min
+from .census import RowCensus, census_range, census_row
+from .errors import GoldbachCounterexample
 from .primes import DEFAULT_SEGMENT_CAP, PrimeSegment
-from .rowrange import Range, Row, partition_rows
-from .sweep import _blocks, _verify_block_task
+from .rowrange import Range, Row
+from .sweep import run_verify
 
 #: Relations evaluated once per row, from the census alone.
 ROW_RELATIONS = ("A1", "A2", "A3", "(3)", "(23)", "(24)", "(27)", "(28)", "(29)", "(31)")
@@ -202,25 +201,25 @@ def _relation_filter(relations: Optional[Sequence[str]]) -> frozenset[str]:
     return frozenset(relations)
 
 
+def _evens(start: int, end: int) -> range:  # the evens A > 2 of [start, end]
+    return range(max(4, start + start % 2), end + 1, 2)
+
+
 def _prove_pairs(start: int, end: int, workers: int) -> None:
     """Raise GoldbachCounterexample unless every even A > 2 in [start, end] is p + q."""
-    first, last = max(4, start + start % 2), end - end % 2
-    blocks = _blocks(first, last) if first <= last else []
-    for found in ordered_map(_verify_block_task, blocks, workers if len(blocks) > 1 else 1):
-        for target in found:
-            dc_min(target)  # the pass's own exhaustive fallback, so it raises too
+    evens = _evens(start, end)
+    failures = evens and run_verify(evens[0], evens[-1], workers=workers).failures
+    if failures:
+        raise GoldbachCounterexample(failures[0])
 
 
-def _audit_row(task: tuple) -> AuditReport:
-    """Audit one row whose evens _prove_pairs has covered.
-
-    ``shared`` maps a census to its rows' per-even checks; in-process every
-    row of an audit gets the same dict, a pool worker a copy per row.
-    """
-    row, wanted, segment, shared = task
-    census = census_row(row, segment)
+def _audit_row(
+    row: Row, census: RowCensus, wanted: frozenset[str], shared: dict
+) -> AuditReport:
+    """Audit one row whose evens _prove_pairs has covered; ``shared`` maps a
+    census to its rows' per-even checks, one dict per audit."""
     row_checks = tuple(c for c in evaluate_row_relations(census) if c.relation_id in wanted)
-    evens = range(max(4, row.start + row.start % 2), row.end + 1, 2)
+    evens = _evens(row.start, row.end)
     if evens and census not in shared:
         checks = evaluate_even_relations(evens[0], 2, census)  # DC(A) = 2, module docstring
         shared[census] = tuple(c for c in checks if c.relation_id in wanted)
@@ -241,7 +240,7 @@ def audit_row(
     """
     wanted = _relation_filter(relations)
     _prove_pairs(row.start, row.end, 1)
-    return _audit_row((row, wanted, segment, {}))
+    return _audit_row(row, census_row(row, segment), wanted, {})
 
 
 def summarize(reports: Sequence[AuditReport]) -> dict[str, dict[str, int]]:
@@ -272,13 +271,14 @@ def audit_range(
 ) -> RangeAudit:
     """Audit every partition row of a range.
 
-    Results are merged in row order, so the output is identical for any
-    worker count.
+    ``workers`` parallelises the pair pass alone, which merges its blocks in
+    order, so the output is identical for any worker count.
     """
+    if workers < 1:
+        raise ValueError(f"need workers >= 1, got {workers}")
     wanted = _relation_filter(relations)
-    rows = partition_rows(rng, width)
+    censuses = census_range(rng, width, cap=cap)
     _prove_pairs(rng.start, rng.end, workers)
     shared: dict[RowCensus, tuple[RelationCheck, ...]] = {}
-    tasks = ((row, wanted, seg, shared) for row, seg in row_segments(rows, cap))
-    reports = tuple(ordered_map(_audit_row, tasks, workers))
+    reports = tuple(_audit_row(row, census, wanted, shared) for row, census in censuses)
     return RangeAudit(reports, summarize(reports))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from .primes import DEFAULT_SEGMENT_CAP, PrimeSegment, prime_count, sieve_segment
 from .rowrange import Range, Row, partition_rows
@@ -40,26 +40,20 @@ def census_row(row: Row, segment: Optional[PrimeSegment] = None) -> RowCensus:
     return RowCensus(evens, row.size - evens, n_primes, row.size)
 
 
-def row_segments(rows: list[Row], cap: int) -> Iterator[tuple[Row, Optional[PrimeSegment]]]:
-    """Each of a partition's rows with its own sieved slice, in order.
-
-    Adjacent rows share one sieve per cap-sized chunk.  Rows wider than the
-    cap come with None and are sieved on their own by whoever counts them.
-    """
-    width = rows[0].size
-    if width > cap:
-        yield from ((row, None) for row in rows)
-        return
-    per_chunk = cap // width
-    for i in range(0, len(rows), per_chunk):
-        chunk = rows[i : i + per_chunk]
-        seg = sieve_segment(chunk[0].start, chunk[-1].end, cap=cap)
-        yield from ((row, seg.restrict(row.start, row.end)) for row in chunk)
-
-
 def census_range(
     rng: Range, width: int, *, cap: int = DEFAULT_SEGMENT_CAP
 ) -> list[tuple[Row, RowCensus]]:
-    """Census every partition row of a range, in ascending order."""
+    """Census every partition row of a range, in ascending order.
+
+    Adjacent rows share one sieve per cap-sized chunk, unless a row is wider.
+    """
     rows = partition_rows(rng, width)
-    return [(row, census_row(row, seg)) for row, seg in row_segments(rows, cap)]
+    if width > cap:
+        return [(row, census_row(row)) for row in rows]
+    per_chunk = cap // width
+    out = []
+    for i in range(0, len(rows), per_chunk):
+        chunk = rows[i : i + per_chunk]
+        seg = sieve_segment(chunk[0].start, chunk[-1].end, cap=cap)
+        out.extend((row, census_row(row, seg)) for row in chunk)
+    return out

@@ -16,20 +16,21 @@ A block holds the power of two just above sqrt(to) evens, but at least
 sqrt(hi) once per block, so blocks sized to sqrt(hi) keep that walk from
 dominating at high magnitudes, and the cap bounds a block's memory.  The
 size depends on the sweep's last even alone, so the blocks, and with them
-the output, are the same at any worker count and after a resume.
+the output, are the same at any worker count and after a resume.  Above
+one worker the blocks go to the package's only process pool.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from math import isqrt
-from typing import Optional
+from typing import Iterator, Optional
 
-from ._dispatch import ordered_map
 from .dc import dc_min
 from .errors import CheckpointMismatch, GoldbachCounterexample, NotEven
 from .primes import base_primes, sieve_segment
@@ -112,6 +113,16 @@ def verify_block(lo: int, hi: int) -> list[int]:
 
 def _verify_block_task(block: tuple[int, int]) -> list[int]:
     return verify_block(*block)
+
+
+def _block_failures(blocks: list[tuple[int, int]], workers: int) -> Iterator[list[int]]:
+    """Each block's failures, in order and as they arrive, so the caller can
+    checkpoint between them; in-process at one worker or one block."""
+    if workers == 1 or len(blocks) <= 1:
+        yield from map(_verify_block_task, blocks)
+        return
+    with multiprocessing.Pool(workers) as pool:
+        yield from pool.imap(_verify_block_task, blocks)
 
 
 def _blocks(first: int, last: int) -> list[tuple[int, int]]:
@@ -255,8 +266,7 @@ def run_verify(
                 ),
             )
 
-    results = ordered_map(_verify_block_task, blocks, workers if len(blocks) > 1 else 1)
-    for (lo, hi), block_failures in zip(blocks, results):
+    for (lo, hi), block_failures in zip(blocks, _block_failures(blocks, workers)):
         failures.extend(block_failures)
         evens_since_checkpoint += (hi - lo) // 2 + 1
         if evens_since_checkpoint >= checkpoint_stride and hi < to_even:

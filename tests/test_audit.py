@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import goldbach_lab
-from goldbach_lab import audit, sweep
+from goldbach_lab import sweep
 from goldbach_lab.audit import (
     ALL_RELATIONS,
     EVEN_RELATIONS,
@@ -184,6 +185,24 @@ class TestAuditRange:
         parallel = audit_range(Range(1, 200), 10, workers=2)
         assert sequential == parallel
 
+    def test_pooled_pair_pass_does_not_change_the_result(self):
+        rng = Range(1, 131_300)  # just over 2^17 integers
+        assert len(sweep._blocks(4, rng.end)) == 2  # so two workers use the pool
+        assert audit_range(rng, 100) == audit_range(rng, 100, workers=2)
+
+    def test_one_block_starts_no_process(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        assert audit_range(Range(1, 2000), 20, workers=2) == audit_range(Range(1, 2000), 20)
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_worker_count_below_one_is_refused(self, workers):
+        for rng, width in ((Range(1, 100), 10), (Range(2, 3), 2)):
+            with pytest.raises(ValueError, match="workers >= 1"):
+                audit_range(rng, width, workers=workers)
+
     def test_propagates_partition_errors(self):
         from goldbach_lab.errors import NonDivisibleWidth
 
@@ -205,7 +224,7 @@ def naive_summary(result):
 
 
 def patched_dc_min(monkeypatch, target):
-    """Make dc_min raise for one even, wherever the sweep and the auditor call it."""
+    """Make dc_min raise for one even inside the sweep's pair pass."""
     real = sweep.dc_min
 
     def dc_min(n):
@@ -214,7 +233,6 @@ def patched_dc_min(monkeypatch, target):
         return real(n)
 
     monkeypatch.setattr(sweep, "dc_min", dc_min)
-    monkeypatch.setattr(audit, "dc_min", dc_min)
 
 
 class TestAggregation:
@@ -270,8 +288,9 @@ class TestAggregation:
         audit_row(Row(10**12 + 1, 10**12 + 100))
         assert blocks[1:] == [(10**12 + 2, 10**12 + 100)]
 
-    def test_evens_with_one_key_share_one_checks_tuple(self):
-        result = audit_range(Range(1, 1000), 50)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_evens_with_one_key_share_one_checks_tuple(self, workers):
+        result = audit_range(Range(1, 1000), 50, workers=workers)
         first = {}
         for report in result.reports:
             for even in report.per_even:

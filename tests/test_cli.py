@@ -105,6 +105,16 @@ class TestAuditCommand:
         assert doc["parameters"] == {"from": 1, "to": 100, "width": 10}
         assert "workers" not in json.dumps(doc)
 
+    @pytest.mark.parametrize("bounds", [("1", "100", "10"), ("2", "3", "2")])
+    def test_zero_workers_exit_two(self, capsys, bounds):
+        lo, hi, width = bounds
+        code, out, err = run_cli(
+            capsys,
+            "audit", "--from", lo, "--to", hi, "--row-width", width, "--workers", "0",
+        )
+        assert (code, out) == (2, "")
+        assert "workers >= 1" in err
+
     def test_csv_has_header_only_per_even_section(self, capsys):
         code, out, _ = run_cli(
             capsys,

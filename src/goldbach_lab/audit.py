@@ -24,9 +24,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .census import RowCensus, census_range, census_row
+from .census import RowCensus, census_range
 from .errors import GoldbachCounterexample
-from .primes import DEFAULT_SEGMENT_CAP, PrimeSegment
+from .primes import DEFAULT_SEGMENT_CAP
 from .rowrange import Range, Row
 from .sweep import run_verify
 
@@ -213,34 +213,15 @@ def _prove_pairs(start: int, end: int, workers: int) -> None:
         raise GoldbachCounterexample(failures[0])
 
 
-def _audit_row(
-    row: Row, census: RowCensus, wanted: frozenset[str], shared: dict
-) -> AuditReport:
-    """Audit one row whose evens _prove_pairs has covered; ``shared`` maps a
-    census to its rows' per-even checks, one dict per audit."""
-    row_checks = tuple(c for c in evaluate_row_relations(census) if c.relation_id in wanted)
-    evens = _evens(row.start, row.end)
-    if evens and census not in shared:
-        checks = evaluate_even_relations(evens[0], 2, census)  # DC(A) = 2, module docstring
-        shared[census] = tuple(c for c in checks if c.relation_id in wanted)
-    per_even = tuple(EvenAudit(a, 2, shared[census]) for a in evens)
-    return AuditReport(row, census, row_checks, per_even)
-
-
-def audit_row(
-    row: Row,
-    relations: Optional[Sequence[str]] = None,
-    segment: Optional[PrimeSegment] = None,
-) -> AuditReport:
-    """Evaluate the configured relations on one row.
+def audit_row(row: Row, relations: Optional[Sequence[str]] = None) -> AuditReport:
+    """Evaluate the configured relations on one row: the one-row case of
+    ``audit_range``.
 
     Row-level relations use the census alone; per-even relations are
     evaluated for every even A > 2 in the row with DC(A) (see the module
     docstring).  A row with no such evens yields an empty per_even section.
     """
-    wanted = _relation_filter(relations)
-    _prove_pairs(row.start, row.end, 1)
-    return _audit_row(row, census_row(row, segment), wanted, {})
+    return audit_range(Range(row.start, row.end), row.size, relations).reports[0]
 
 
 def summarize(reports: Sequence[AuditReport]) -> dict[str, dict[str, int]]:
@@ -279,6 +260,15 @@ def audit_range(
     wanted = _relation_filter(relations)
     censuses = census_range(rng, width, cap=cap)
     _prove_pairs(rng.start, rng.end, workers)
-    shared: dict[RowCensus, tuple[RelationCheck, ...]] = {}
-    reports = tuple(_audit_row(row, census, wanted, shared) for row, census in censuses)
-    return RangeAudit(reports, summarize(reports))
+    shared: dict[RowCensus, tuple[RelationCheck, ...]] = {}  # census -> per-even checks
+    reports = []
+    for row, census in censuses:
+        row_checks = tuple(c for c in evaluate_row_relations(census) if c.relation_id in wanted)
+        evens = _evens(row.start, row.end)
+        checks = shared.get(census)
+        if checks is None and evens:
+            checks = evaluate_even_relations(evens[0], 2, census)  # DC(A) = 2, module docstring
+            checks = shared[census] = tuple(c for c in checks if c.relation_id in wanted)
+        per_even = tuple(EvenAudit(a, 2, checks) for a in evens)
+        reports.append(AuditReport(row, census, row_checks, per_even))
+    return RangeAudit(tuple(reports), summarize(reports))

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from .primes import DEFAULT_SEGMENT_CAP, PrimeSegment, prime_count, sieve_segment
+from .primes import DEFAULT_SEGMENT_CAP, iter_segments
 from .rowrange import Range, Row, partition_rows
 
 
@@ -26,18 +25,9 @@ def _evens_between(lo: int, hi: int) -> int:
     return hi // 2 - (lo - 1) // 2
 
 
-def census_row(row: Row, segment: Optional[PrimeSegment] = None) -> RowCensus:
-    """Census one row; parity counts by endpoint arithmetic, primes by sieve.
-
-    Pass a segment covering the row to avoid re-sieving when many adjacent
-    rows are censused together.
-    """
-    evens = _evens_between(row.start, row.end)
-    if segment is None:
-        n_primes = prime_count(row.start, row.end)
-    else:
-        n_primes = segment.restrict(row.start, row.end).count()
-    return RowCensus(evens, row.size - evens, n_primes, row.size)
+def census_row(row: Row) -> RowCensus:
+    """Census one row: the one-row case of ``census_range``."""
+    return census_range(Range(row.start, row.end), row.size)[0][1]
 
 
 def census_range(
@@ -45,15 +35,19 @@ def census_range(
 ) -> list[tuple[Row, RowCensus]]:
     """Census every partition row of a range, in ascending order.
 
-    Adjacent rows share one sieve per cap-sized chunk, unless a row is wider.
+    Parity counts come from endpoint arithmetic.  Primes come from one walk
+    of cap-sized sieve segments over the range: each row adds the primes of
+    every segment it overlaps, so a row may span several segments.
     """
     rows = partition_rows(rng, width)
-    if width > cap:
-        return [(row, census_row(row)) for row in rows]
-    per_chunk = cap // width
+    n_primes = [0] * len(rows)
+    for seg in iter_segments(rng.start, rng.end, cap=cap):
+        for i in range((seg.lo - rng.start) // width, (seg.hi - rng.start) // width + 1):
+            lo = rng.start + i * width
+            a, b = max(lo, seg.lo), min(lo + width - 1, seg.hi)
+            n_primes[i] += seg.flags.count(1, a - seg.lo, b - seg.lo + 1)
     out = []
-    for i in range(0, len(rows), per_chunk):
-        chunk = rows[i : i + per_chunk]
-        seg = sieve_segment(chunk[0].start, chunk[-1].end, cap=cap)
-        out.extend((row, census_row(row, seg)) for row in chunk)
+    for row, primes in zip(rows, n_primes):
+        evens = _evens_between(row.start, row.end)
+        out.append((row, RowCensus(evens, width - evens, primes, width)))
     return out

@@ -111,13 +111,15 @@ class PrimeSegment:
 
 
 def sieve_segment(lo: int, hi: int, *, cap: int = DEFAULT_SEGMENT_CAP) -> PrimeSegment:
-    """Sieve the closed interval [lo, hi].
+    """Sieve the closed interval [lo, hi], where 1 <= lo <= hi < 2**64.
 
     Only odd positions are marked during sieving; even positions other than
     2 are composite by construction.
     """
     if lo < 1 or lo > hi:
         raise InvalidInterval(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
+    if hi >= _WORD_LIMIT:  # the base-prime table alone would need 4 GiB
+        raise OutOfBounds(f"sieve domain is [1, 2**64): got hi = {hi}")
     span = hi - lo + 1
     if span > cap:
         raise SegmentTooLarge(f"span {span} exceeds cap {cap}")

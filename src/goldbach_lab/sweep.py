@@ -26,7 +26,7 @@ import json
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from datetime import datetime, timezone
 from math import isqrt
 from typing import Iterator, Optional
@@ -45,7 +45,7 @@ _NOT_PRIME_DIGITS = bytes.maketrans(b"\0\1", b"10")  # sieve flags -> not_prime 
 
 _INT_FIELDS = ("version", "from", "to", "last_verified")
 _STR_FIELDS = ("started_at", "updated_at")
-_CHECKPOINT_FIELDS = _INT_FIELDS + ("failures",) + _STR_FIELDS
+_CHECKPOINT_FIELDS = _INT_FIELDS + ("failures",) + _STR_FIELDS  # SweepCheckpoint's order
 
 
 @dataclass(frozen=True)
@@ -138,16 +138,7 @@ def _blocks(first: int, last: int) -> list[tuple[int, int]]:
 
 
 def checkpoint_to_json(cp: SweepCheckpoint) -> str:
-    doc = {
-        "version": cp.version,
-        "from": cp.from_even,
-        "to": cp.to_even,
-        "last_verified": cp.last_verified,
-        "failures": list(cp.failures),
-        "started_at": cp.started_at,
-        "updated_at": cp.updated_at,
-    }
-    return json.dumps(doc, sort_keys=True) + "\n"
+    return json.dumps(dict(zip(_CHECKPOINT_FIELDS, astuple(cp))), sort_keys=True) + "\n"
 
 
 def checkpoint_from_json(text: str) -> SweepCheckpoint:
@@ -172,15 +163,8 @@ def checkpoint_from_json(text: str) -> SweepCheckpoint:
         raise CheckpointMismatch(f"checkpoint fields of the wrong type: {sorted(mistyped)}")
     if doc["version"] != CHECKPOINT_VERSION:
         raise CheckpointMismatch(f"unsupported checkpoint version {doc['version']!r}")
-    cp = SweepCheckpoint(
-        version=doc["version"],
-        from_even=doc["from"],
-        to_even=doc["to"],
-        last_verified=doc["last_verified"],
-        failures=tuple(doc["failures"]),
-        started_at=doc["started_at"],
-        updated_at=doc["updated_at"],
-    )
+    doc["failures"] = tuple(doc["failures"])
+    cp = SweepCheckpoint(*(doc[k] for k in _CHECKPOINT_FIELDS))
     if not cp.from_even <= cp.last_verified <= cp.to_even:
         raise CheckpointMismatch("checkpoint bounds out of order")
     for n in (cp.from_even, cp.to_even, cp.last_verified):

@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from goldbach_lab.audit import audit_range
 from goldbach_lab.census import RowCensus, census_range, census_row
-from goldbach_lab.primes import prime_count, sieve_segment
+from goldbach_lab.primes import prime_count
 from goldbach_lab.rowrange import Range, Row
 
 from oracles import trial_is_prime
@@ -41,11 +41,6 @@ class TestCensusRow:
 
     def test_last_decade_of_hundred(self):
         assert census_row(Row(91, 100)) == RowCensus(5, 5, 1, 10)
-
-    def test_shared_segment_matches_fresh_sieve(self):
-        seg = sieve_segment(1, 200)
-        for row in (Row(1, 10), Row(91, 100), Row(100, 150)):
-            assert census_row(row, seg) == census_row(row)
 
     @settings(max_examples=100, deadline=None)
     @given(start=st.integers(1, 10**5), size=st.integers(1, 300))
@@ -86,14 +81,20 @@ class TestCensusRange:
         starts = [row.start for row, _ in items]
         assert starts == sorted(starts)
 
-    # cap 48 shares each sieve across four rows; cap 8 is narrower than a
-    # row, so every row is sieved on its own; the default cap covers all
-    @pytest.mark.parametrize("cap", [48, 8, None], ids=["cap48", "cap8", "default"])
+    # cap 48 shares each sieve across four rows; caps 13, 8 and 7 do not
+    # divide the width 12, so rows straddle two segments (8 and 7 are
+    # narrower than a row); the default cap covers all
+    @pytest.mark.parametrize(
+        "cap", [48, 13, 8, 7, None], ids=["cap48", "cap13", "cap8", "cap7", "default"]
+    )
     @pytest.mark.parametrize("walker", list(WALKERS))
     def test_chunked_sieving_matches_per_row(self, walker, cap):
         kwargs = {} if cap is None else {"cap": cap}
         reference = census_range(WALK, 12) if walker == "census" else audit_range(WALK, 12)
-        assert WALKERS[walker](**kwargs) == reference
+        result = WALKERS[walker](**kwargs)
+        assert result == reference
+        items = result if walker == "census" else [(r.row, r.census) for r in result.reports]
+        assert items == [(row, enumerate_census(row)) for row, _ in items]
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -239,3 +239,31 @@ class TestInstalledEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["payload"]["witness"] == [3, 5]
+
+
+class TestSieveDomain:
+    """From 2**64 up the base-prime table alone would need 4 GiB: refuse, exit 2."""
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [("sieve", []), ("verify", []), ("census", ["--row-width", "11"]),
+         ("audit", ["--row-width", "11"])],
+        ids=["sieve", "verify", "census", "audit"],
+    )
+    def test_refused_at_two_to_the_64(self, command, extra):
+        resource = pytest.importorskip("resource")
+
+        def cap_address_space():  # a regression fails fast instead of allocating
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        n = 1 << 64
+        proc = subprocess.run(
+            [sys.executable, "-m", "goldbach_lab.cli", command,
+             "--from", str(n), "--to", str(n + 10), *extra],
+            capture_output=True,
+            text=True,
+            preexec_fn=cap_address_space,
+            timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "2**64" in proc.stderr

@@ -15,7 +15,7 @@ An even A > 2 is not prime, so DC(A) = 2 exactly when some p + q = A.  The
 audit composes the other engines: ``census_range`` counts the rows, and one
 ``sweep.run_verify`` over the range's evens (the only pooled step) finds
 such a pair for each or raises.  So an audited even's ``dc_value`` is 2 and
-its checks depend on the census alone: one tuple per census, shared by rows.
+its checks depend on the census alone: one tuple per census, held once per row.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ EVEN_RELATIONS = (
     "(33)",
 )
 ALL_RELATIONS = ROW_RELATIONS + EVEN_RELATIONS
+_DC_VALUE = 2  # DC(A) of every audited even A > 2 (module docstring)
 
 Number = Union[int, float]
 
@@ -79,12 +80,21 @@ class EvenAudit:
 
 @dataclass(frozen=True)
 class AuditReport:
-    """Full audit of one row: census, row-level and per-even checks."""
+    """Full audit of one row: census, row checks and the ``even_checks`` that
+    each even A > 2 of it gets; ``per_even`` expands them per even on demand."""
 
     row: Row
     census: RowCensus
     row_checks: tuple[RelationCheck, ...]
-    per_even: tuple[EvenAudit, ...]
+    even_checks: tuple[RelationCheck, ...]
+
+    @property
+    def evens(self) -> range:  # the row's evens A > 2
+        return _evens(self.row.start, self.row.end)
+
+    @property
+    def per_even(self) -> tuple[EvenAudit, ...]:
+        return tuple(EvenAudit(a, _DC_VALUE, self.even_checks) for a in self.evens)
 
     def verdict_summary(self) -> dict[str, dict[str, int]]:
         return summarize([self])
@@ -219,7 +229,7 @@ def audit_row(row: Row, relations: Optional[Sequence[str]] = None) -> AuditRepor
 
     Row-level relations use the census alone; per-even relations are
     evaluated for every even A > 2 in the row with DC(A) (see the module
-    docstring).  A row with no such evens yields an empty per_even section.
+    docstring).  A row with no such evens has empty ``even_checks``.
     """
     return audit_range(Range(row.start, row.end), row.size, relations).reports[0]
 
@@ -227,14 +237,13 @@ def audit_row(row: Row, relations: Optional[Sequence[str]] = None) -> AuditRepor
 def summarize(reports: Sequence[AuditReport]) -> dict[str, dict[str, int]]:
     """Held/failed counts per relation id, in catalog order.
 
-    Each distinct checks tuple is tallied once, times the number of its users.
+    A report's row checks count once and its even checks once per even.
     """
-    lists = [r.row_checks for r in reports] + [e.checks for r in reports for e in r.per_even]
-    users = Counter(map(id, lists))
     tally: Counter[tuple[str, bool]] = Counter()
-    for checks in {id(c): c for c in lists}.values():
-        for check in checks:
-            tally[check.relation_id, check.holds] += users[id(checks)]
+    for r in reports:
+        for checks, users in ((r.row_checks, 1), (r.even_checks, len(r.evens))):
+            for check in checks:
+                tally[check.relation_id, check.holds] += users
     return {
         rid: {"failed": tally[rid, False], "held": tally[rid, True]}
         for rid in ALL_RELATIONS
@@ -260,15 +269,14 @@ def audit_range(
     wanted = _relation_filter(relations)
     censuses = census_range(rng, width, cap=cap)
     _prove_pairs(rng.start, rng.end, workers)
-    shared: dict[RowCensus, tuple[RelationCheck, ...]] = {}  # census -> per-even checks
+    shared: dict[RowCensus, tuple[RelationCheck, ...]] = {}  # census -> even checks
     reports = []
     for row, census in censuses:
         row_checks = tuple(c for c in evaluate_row_relations(census) if c.relation_id in wanted)
         evens = _evens(row.start, row.end)
-        checks = shared.get(census)
-        if checks is None and evens:
-            checks = evaluate_even_relations(evens[0], 2, census)  # DC(A) = 2, module docstring
+        checks = shared.get(census) if evens else ()
+        if checks is None:
+            checks = evaluate_even_relations(evens[0], _DC_VALUE, census)
             checks = shared[census] = tuple(c for c in checks if c.relation_id in wanted)
-        per_even = tuple(EvenAudit(a, 2, checks) for a in evens)
-        reports.append(AuditReport(row, census, row_checks, per_even))
+        reports.append(AuditReport(row, census, row_checks, checks))
     return RangeAudit(tuple(reports), summarize(reports))

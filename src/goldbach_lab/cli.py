@@ -1,7 +1,7 @@
 """Command-line driver: goldbach-lab <verify|audit|census|dc|sieve|partition>.
 
 Exit codes: 0 on success (failing relations are data, not errors), 1 on
-internal error, 2 on invalid arguments or domain errors.  JSON output is
+internal error, 2 on invalid arguments, paths or domain errors.  JSON output is
 byte-identical for identical query parameters, whatever the worker count.
 """
 
@@ -205,7 +205,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GoldbachLabError, ValueError) as exc:
+    except (GoldbachLabError, OSError, ValueError) as exc:  # OSError: an unusable path
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

@@ -14,7 +14,7 @@ import re
 from typing import Any, Callable, Optional, Union
 
 from . import __version__ as TOOL_VERSION
-from .audit import AuditReport, RangeAudit, RelationCheck
+from .audit import _DC_VALUE, AuditReport, RangeAudit, RelationCheck
 from .census import RowCensus
 from .dc import DcResult
 from .primes import PrimeSegment
@@ -41,8 +41,8 @@ def to_json(
 
 
 def _per_checks(result: RangeAudit, render: Callable[[tuple], Any]) -> dict[int, Any]:
-    """render(checks) by id(checks), once per distinct per-even checks tuple."""
-    distinct = {id(e.checks): e.checks for r in result.reports for e in r.per_even}
+    """render(checks) by id(checks), once per distinct even checks tuple (a cache)."""
+    distinct = {id(r.even_checks): r.even_checks for r in result.reports}
     return {key: render(checks) for key, checks in distinct.items()}
 
 
@@ -75,13 +75,13 @@ def _check_doc(c: RelationCheck) -> dict[str, Any]:
 
 
 def _report_doc(report: AuditReport) -> dict[str, Any]:
+    checks = f"\0{id(report.even_checks)}\0"
     return {
         "row": _row_doc(report.row),
         "census": _census_doc(report.census),
         "row_checks": [_check_doc(c) for c in report.row_checks],
         "per_even": [
-            {"A": e.target, "dc_value": e.dc_value, "checks": f"\0{id(e.checks)}\0"}
-            for e in report.per_even
+            {"A": a, "dc_value": _DC_VALUE, "checks": checks} for a in report.evens
         ],
     }
 
@@ -176,10 +176,10 @@ def audit_csv(result: RangeAudit) -> str:
     # no per-even cell needs quoting, so each check list's row tails render once
     tails = _per_checks(result, lambda cs: [",".join(_check_cells(c)) + "\n" for c in cs])
     for report in result.reports:
-        for even in report.per_even:
-            prefix = f"{report.row.start},{even.target},{even.dc_value},"
-            if even.checks:
-                buf.write(prefix + prefix.join(tails[id(even.checks)]))
+        tail = tails[id(report.even_checks)]
+        for a in report.evens if tail else ():  # an empty tail writes no line
+            prefix = f"{report.row.start},{a},{_DC_VALUE},"
+            buf.write(prefix + prefix.join(tail))
     return buf.getvalue()
 
 
@@ -217,8 +217,8 @@ def audit_text(result: RangeAudit) -> str:
                 f"  {check.relation_id}: lhs={_cell(check.lhs_value)} "
                 f"rhs={_cell(check.rhs_value)} holds={_cell(check.holds)}"
             )
-        for even in report.per_even:
-            lines.append(f"  A={even.target} dc={even.dc_value}{notes[id(even.checks)]}")
+        note = notes[id(report.even_checks)]
+        lines.extend(f"  A={a} dc={_DC_VALUE}{note}" for a in report.evens)
     lines.append("summary (held/failed):")
     for rid, counts in result.summary.items():
         lines.append(f"  {rid}: {counts['held']}/{counts['failed']}")

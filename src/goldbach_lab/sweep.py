@@ -121,7 +121,7 @@ def _block_failures(blocks: list[tuple[int, int]], workers: int) -> Iterator[lis
     if workers == 1 or len(blocks) <= 1:
         yield from map(_verify_block_task, blocks)
         return
-    with multiprocessing.Pool(workers) as pool:
+    with multiprocessing.Pool(min(workers, len(blocks))) as pool:
         yield from pool.imap(_verify_block_task, blocks)
 
 

@@ -1,3 +1,4 @@
+import json
 import multiprocessing
 import os
 import subprocess
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import goldbach_lab
-from goldbach_lab import sweep
+from goldbach_lab import audit, serialize, sweep
 from goldbach_lab.audit import (
     ALL_RELATIONS,
     EVEN_RELATIONS,
@@ -297,6 +298,17 @@ class TestAggregation:
                 key = (even.dc_value, report.census)
                 assert even.checks is first.setdefault(key, even.checks)
         assert len(first) < len(result.reports)
+
+    def test_audit_and_renderers_build_no_per_even_objects(self, monkeypatch):
+        def no_even_audit(*args, **kwargs):
+            raise AssertionError("an EvenAudit was built")
+
+        monkeypatch.setattr(audit, "EvenAudit", no_even_audit)
+        result = audit_range(Range(1, 2000), 20)
+        assert serialize.audit_csv(result).count("\n") > 1000
+        text = serialize.to_json("audit", {}, *serialize.audit_payload(result))
+        assert len(json.loads(text)["payload"]["rows"]) == 100
+        assert serialize.audit_text(result).endswith("\n")
 
 
 def peak_kib_of_audit(tmp_path, fmt):

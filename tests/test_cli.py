@@ -43,6 +43,18 @@ class TestExitCodes:
         assert code == 2
         assert "even" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["sieve", "--from", "1", "--to", "100", "--output", "missing/x"], "No such file"),
+        (["verify", "--from", "4", "--to", "100", "--checkpoint", "missing/cp.json"],
+         "No such file"),
+        (["verify", "--from", "4", "--to", "100", "--checkpoint", "."], "Is a directory"),
+    ], ids=["sieve-output-missing-dir", "checkpoint-missing-dir", "checkpoint-is-dir"])
+    def test_unusable_path_exits_two(self, capsys, tmp_path, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: ") and message in err
+
 
 class TestNumberParsing:
     def test_underscore_separators(self, capsys):

@@ -3,6 +3,8 @@
 Refactors must keep the CLI bytes identical; any change to these digests is
 a change of the output contract.  The wall-time clause of ``verify`` text
 output is the only nondeterministic part and is stripped before hashing.
+The public surface is pinned too: every ``--help`` text at 80 columns and
+the package's ``__all__``.
 """
 
 import hashlib
@@ -10,6 +12,7 @@ import re
 
 import pytest
 
+import goldbach_lab
 from goldbach_lab.cli import main
 
 _WALL_TIME = re.compile(rb" in \d+\.\d\d s")
@@ -96,3 +99,41 @@ def output_digest(argv, tmp_path):
 @pytest.mark.parametrize("case, argv", CASES, ids=[c for c, _ in CASES])
 def test_output_bytes_are_pinned(case, argv, tmp_path):
     assert output_digest(argv, tmp_path) == DIGESTS[case]
+
+
+HELP_DIGESTS = {
+    "": "1876f26a2bde4f21a8e2ed47f201b2cc123e0f366a4949766a190afcf8a219fd",
+    "verify": "ace077f0d304971ad9e8a180d8ac3de8c887e1964ddb9d350bfad59140b4cbc5",
+    "audit": "1c02a43ceff614fa13d0b5dc575628140ffb59ebfdce90eb34c2bd3ccf6a7015",
+    "census": "5a8d2b2f4aae0264887aa7a30c3332ae1fe16ab998bd546f899be29cd6ebfd5b",
+    "dc": "92c02ba424f2166d15971cde434e1e54c4483b52587fcc71699b80381af4800e",
+    "sieve": "5ca056589a3682dea9c3c87df397bd12a1b8054c135811a32c9cf863c3db3676",
+    "partition": "e2947fedf4ba9a0788859f94246a89a141f12e6be4a254a8fb1611914317e633",
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_DIGESTS), ids=lambda c: c or "top")
+def test_help_bytes_are_pinned(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    with pytest.raises(SystemExit) as exit_info:
+        main(([command] if command else []) + ["--help"])
+    assert exit_info.value.code == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == HELP_DIGESTS[command]
+
+
+def test_public_names_are_pinned():
+    assert goldbach_lab.__all__ == [
+        "ALL_RELATIONS", "AboveEnumerationCap", "AboveOracleCap", "AuditReport",
+        "CheckpointMismatch", "DcResult", "EmptyCandidate", "EvenAudit",
+        "GoldbachCounterexample", "GoldbachLabError", "InvalidInterval",
+        "NonDivisibleWidth", "NotEven", "OutOfBounds", "OverlappingRows",
+        "PrimeSegment", "Range", "RangeAudit", "RelationCheck", "Row", "RowCensus",
+        "SegmentTooLarge", "SweepCheckpoint", "SweepSummary", "TargetTooSmall",
+        "ValidationVerdict", "WidthExceedsRange", "audit_range", "audit_row",
+        "census_range", "census_row", "dc_min", "dc_oracle", "dc_oracle_table",
+        "decompositions", "goldbach_pairs", "implication_eval", "is_prime",
+        "iter_primes", "nth_prime", "partition_rows", "prime_count", "run_verify",
+        "sieve_segment", "successor_offset", "validate_range", "validate_row",
+        "verify_block",
+    ]

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -161,6 +162,30 @@ class TestRunVerify:
         one = run_verify(4, 3 * (1 << 17))
         four = run_verify(4, 3 * (1 << 17), workers=4)
         assert (one.verified, one.failures) == (four.verified, four.failures)
+
+    def test_pool_has_no_more_processes_than_blocks(self, monkeypatch):
+        sizes = []
+
+        class InProcessPool:  # records its size and starts no process
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+        assert len(sweep._blocks(4, 300_000)) == 3
+        summary = run_verify(4, 300_000, workers=8)
+        assert (summary.verified, summary.failures) == (149_999, ())
+        assert sizes == [3]
+        run_verify(4, 300_000, workers=2)
+        assert sizes == [3, 2]
 
     def test_workers_and_checkpointing_compose(self, tmp_path):
         path = str(tmp_path / "cp.json")

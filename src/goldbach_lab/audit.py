@@ -26,7 +26,6 @@ from typing import Optional, Sequence, Union
 
 from .census import RowCensus, census_range
 from .errors import GoldbachCounterexample
-from .primes import DEFAULT_SEGMENT_CAP
 from .rowrange import Range, Row
 from .sweep import run_verify
 
@@ -252,12 +251,7 @@ def summarize(reports: Sequence[AuditReport]) -> dict[str, dict[str, int]]:
 
 
 def audit_range(
-    rng: Range,
-    width: int,
-    relations: Optional[Sequence[str]] = None,
-    *,
-    workers: int = 1,
-    cap: int = DEFAULT_SEGMENT_CAP,
+    rng: Range, width: int, relations: Optional[Sequence[str]] = None, *, workers: int = 1
 ) -> RangeAudit:
     """Audit every partition row of a range.
 
@@ -267,7 +261,7 @@ def audit_range(
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")
     wanted = _relation_filter(relations)
-    censuses = census_range(rng, width, cap=cap)
+    censuses = census_range(rng, width)
     _prove_pairs(rng.start, rng.end, workers)
     shared: dict[RowCensus, tuple[RelationCheck, ...]] = {}  # census -> even checks
     reports = []

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .primes import DEFAULT_SEGMENT_CAP, iter_segments
+from .primes import iter_segments
 from .rowrange import Range, Row, partition_rows
 
 
@@ -30,18 +30,16 @@ def census_row(row: Row) -> RowCensus:
     return census_range(Range(row.start, row.end), row.size)[0][1]
 
 
-def census_range(
-    rng: Range, width: int, *, cap: int = DEFAULT_SEGMENT_CAP
-) -> list[tuple[Row, RowCensus]]:
+def census_range(rng: Range, width: int) -> list[tuple[Row, RowCensus]]:
     """Census every partition row of a range, in ascending order.
 
     Parity counts come from endpoint arithmetic.  Primes come from one walk
-    of cap-sized sieve segments over the range: each row adds the primes of
+    of sieve segments over the range: each row adds the primes of
     every segment it overlaps, so a row may span several segments.
     """
     rows = partition_rows(rng, width)
     n_primes = [0] * len(rows)
-    for seg in iter_segments(rng.start, rng.end, cap=cap):
+    for seg in iter_segments(rng.start, rng.end):
         for i in range((seg.lo - rng.start) // width, (seg.hi - rng.start) // width + 1):
             lo = rng.start + i * width
             a, b = max(lo, seg.lo), min(lo + width - 1, seg.hi)

@@ -8,6 +8,8 @@ byte-identical for identical query parameters, whatever the worker count.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from typing import Optional
 
@@ -30,6 +32,15 @@ def _natural(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative: {text!r}")
     return value
+
+
+def _check_paths(*paths: Optional[str]) -> None:
+    """Refuse a path the command could not write, before it does any work."""
+    for path in filter(None, paths):
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
 def _emit(text: str, path: Optional[str]) -> None:
@@ -124,8 +135,8 @@ def cmd_dc(args: argparse.Namespace) -> int:
 
 def cmd_sieve(args: argparse.Namespace) -> int:
     seg = sieve_segment(args.from_, args.to)
-    payload = serialize.segment_payload(seg, include_primes=args.list)
     if args.format == "json":
+        payload = serialize.segment_payload(seg, include_primes=args.list)
         text = serialize.to_json("sieve", {"from": args.from_, "to": args.to}, payload)
     else:
         text = f"primes in [{seg.lo}, {seg.hi}]: {seg.count()}\n"
@@ -204,6 +215,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_paths(args.output, getattr(args, "checkpoint", None))
         return args.func(args)
     except (GoldbachLabError, OSError, ValueError) as exc:  # OSError: an unusable path
         print(f"error: {exc}", file=sys.stderr)

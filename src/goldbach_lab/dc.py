@@ -20,9 +20,9 @@ from .errors import (
 )
 from .primes import base_primes, is_prime, iter_primes, sieve_segment
 
-DEFAULT_ORACLE_CAP = 10**6
-DEFAULT_ENUMERATION_CAP = 10**4
-DEFAULT_PAIR_CAP = 10**6
+ORACLE_CAP = 10**6
+ENUMERATION_CAP = 10**4
+PAIR_CAP = 10**6
 
 _SMALL_PRIME_BOUND = 1 << 16
 
@@ -76,7 +76,7 @@ def dc_min(target: int) -> DcResult:
     return DcResult(target, 3, tuple(sorted((3, p, q))))
 
 
-def dc_oracle_table(limit: int, *, cap: int = DEFAULT_ORACLE_CAP) -> tuple[int, ...]:
+def dc_oracle_table(limit: int) -> tuple[int, ...]:
     """Minimum prime-summand count for every target in 0..limit.
 
     Entries 0 and 1 are 0 (no prime sum exists).  Computed by breadth-first
@@ -86,8 +86,8 @@ def dc_oracle_table(limit: int, *, cap: int = DEFAULT_ORACLE_CAP) -> tuple[int, 
     """
     if limit < 2:
         raise TargetTooSmall(f"need limit >= 2, got {limit}")
-    if limit > cap:
-        raise AboveOracleCap(f"limit {limit} exceeds oracle cap {cap}")
+    if limit > ORACLE_CAP:
+        raise AboveOracleCap(f"limit {limit} exceeds oracle cap {ORACLE_CAP}")
     prime_list = sieve_segment(1, limit).primes()
     prime_mask = 0
     for p in prime_list:
@@ -123,26 +123,20 @@ def _fill(values: list[int], bits: int, count: int, limit: int) -> None:
                     values[base + j] = count
 
 
-def dc_oracle(target: int, *, cap: int = DEFAULT_ORACLE_CAP) -> int:
+def dc_oracle(target: int) -> int:
     """Exact minimum via the DP table; independent check on dc_min."""
-    if target < 2:
-        raise TargetTooSmall(f"need target >= 2, got {target}")
-    if target > cap:
-        raise AboveOracleCap(f"target {target} exceeds oracle cap {cap}")
-    return dc_oracle_table(target, cap=cap)[target]
+    return dc_oracle_table(target)[target]
 
 
-def decompositions(
-    target: int, k: int, *, cap: int = DEFAULT_ENUMERATION_CAP
-) -> list[tuple[int, ...]]:
+def decompositions(target: int, k: int) -> list[tuple[int, ...]]:
     """All multisets of exactly k primes summing to ``target``.
 
     Each result is ascending; the list is empty when no k-prime sum exists.
     """
     if target < 2:
         raise TargetTooSmall(f"need target >= 2, got {target}")
-    if target > cap:
-        raise AboveEnumerationCap(f"target {target} exceeds enumeration cap {cap}")
+    if target > ENUMERATION_CAP:
+        raise AboveEnumerationCap(f"target {target} exceeds enumeration cap {ENUMERATION_CAP}")
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     prime_list = sieve_segment(1, target).primes()
@@ -166,14 +160,14 @@ def decompositions(
     return out
 
 
-def goldbach_pairs(target: int, *, cap: int = DEFAULT_PAIR_CAP) -> list[tuple[int, int]]:
+def goldbach_pairs(target: int) -> list[tuple[int, int]]:
     """Every unordered prime pair (p, q) with p <= q and p + q = target."""
     if target % 2:
         raise NotEven(f"{target} is odd")
     if target < 4:
         raise TargetTooSmall(f"need even target >= 4, got {target}")
-    if target > cap:
-        raise AboveEnumerationCap(f"target {target} exceeds listing cap {cap}")
+    if target > PAIR_CAP:
+        raise AboveEnumerationCap(f"target {target} exceeds listing cap {PAIR_CAP}")
     seg = sieve_segment(1, target - 1)
     flags = seg.flags
     return [

@@ -10,7 +10,7 @@ class InvalidInterval(GoldbachLabError):
 
 
 class SegmentTooLarge(GoldbachLabError):
-    """Requested sieve span exceeds the configured segment cap."""
+    """Requested sieve span exceeds the segment cap."""
 
 
 class OutOfBounds(GoldbachLabError):
@@ -38,11 +38,11 @@ class TargetTooSmall(GoldbachLabError):
 
 
 class AboveOracleCap(GoldbachLabError):
-    """Target beyond the configured DP oracle cap."""
+    """Target beyond the DP oracle cap."""
 
 
 class AboveEnumerationCap(GoldbachLabError):
-    """Target beyond the configured enumeration cap."""
+    """Target beyond the enumeration cap."""
 
 
 class NotEven(GoldbachLabError):

@@ -16,11 +16,12 @@ from typing import Iterator
 
 from .errors import InvalidInterval, OutOfBounds, SegmentTooLarge
 
-DEFAULT_SEGMENT_CAP = 1 << 26  # max entries per sieved segment
-DEFAULT_NTH_PRIME_LIMIT = 1 << 32  # largest value nth_prime will sieve toward
+SEGMENT_CAP = 1 << 26  # max entries per sieved segment
+NTH_PRIME_LIMIT = 1 << 32  # largest value nth_prime will sieve toward
 
 _WORD_LIMIT = 1 << 64
 _BASE_TABLE_STEP = 1 << 16  # base-prime tables are built in multiples of this
+_PRIME_CHUNK = 1 << 16  # integers iter_primes sieves at a time
 
 # Sinclair's bases: Miller-Rabin with these is exact for every n < 2**64.
 _MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
@@ -110,7 +111,7 @@ class PrimeSegment:
         return PrimeSegment(lo, hi, self.flags[lo - self.lo : hi - self.lo + 1])
 
 
-def sieve_segment(lo: int, hi: int, *, cap: int = DEFAULT_SEGMENT_CAP) -> PrimeSegment:
+def sieve_segment(lo: int, hi: int) -> PrimeSegment:
     """Sieve the closed interval [lo, hi], where 1 <= lo <= hi < 2**64.
 
     Only odd positions are marked during sieving; even positions other than
@@ -121,8 +122,8 @@ def sieve_segment(lo: int, hi: int, *, cap: int = DEFAULT_SEGMENT_CAP) -> PrimeS
     if hi >= _WORD_LIMIT:  # the base-prime table alone would need 4 GiB
         raise OutOfBounds(f"sieve domain is [1, 2**64): got hi = {hi}")
     span = hi - lo + 1
-    if span > cap:
-        raise SegmentTooLarge(f"span {span} exceeds cap {cap}")
+    if span > SEGMENT_CAP:
+        raise SegmentTooLarge(f"span {span} exceeds cap {SEGMENT_CAP}")
     flags = bytearray(span)
     if lo <= 2 <= hi:
         flags[2 - lo] = 1
@@ -145,22 +146,20 @@ def sieve_segment(lo: int, hi: int, *, cap: int = DEFAULT_SEGMENT_CAP) -> PrimeS
     return PrimeSegment(lo, hi, bytes(flags))
 
 
-def iter_segments(
-    lo: int, hi: int, *, cap: int = DEFAULT_SEGMENT_CAP
-) -> Iterator[PrimeSegment]:
+def iter_segments(lo: int, hi: int, *, cap: int = SEGMENT_CAP) -> Iterator[PrimeSegment]:
     """Yield consecutive cap-sized segments covering [lo, hi]."""
     if lo < 1 or lo > hi:
         raise InvalidInterval(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
     start = lo
     while start <= hi:
         end = min(start + cap - 1, hi)
-        yield sieve_segment(start, end, cap=cap)
+        yield sieve_segment(start, end)
         start = end + 1
 
 
-def prime_count(lo: int, hi: int, *, cap: int = DEFAULT_SEGMENT_CAP) -> int:
+def prime_count(lo: int, hi: int) -> int:
     """Number of primes p with lo <= p <= hi."""
-    return sum(seg.count() for seg in iter_segments(lo, hi, cap=cap))
+    return sum(seg.count() for seg in iter_segments(lo, hi))
 
 
 def _nth_prime_bound(x: int) -> int:
@@ -171,13 +170,13 @@ def _nth_prime_bound(x: int) -> int:
     return int(x * (lx + log(lx))) + 1
 
 
-def nth_prime(x: int, *, limit: int = DEFAULT_NTH_PRIME_LIMIT) -> int:
+def nth_prime(x: int) -> int:
     """The x-th prime in increasing order; nth_prime(1) == 2."""
     if x < 1:
         raise ValueError(f"need x >= 1, got {x}")
     bound = _nth_prime_bound(x)
-    if bound > limit:
-        raise OutOfBounds(f"prime #{x} would need sieving past {limit}")
+    if bound > NTH_PRIME_LIMIT:
+        raise OutOfBounds(f"prime #{x} would need sieving past {NTH_PRIME_LIMIT}")
     remaining = x
     for seg in iter_segments(1, bound):
         in_seg = seg.count()
@@ -191,10 +190,10 @@ def nth_prime(x: int, *, limit: int = DEFAULT_NTH_PRIME_LIMIT) -> int:
     raise OutOfBounds(f"bound {bound} did not reach prime #{x}")
 
 
-def iter_primes(start: int = 2, *, chunk: int = 1 << 16) -> Iterator[int]:
+def iter_primes(start: int = 2) -> Iterator[int]:
     """Ascending primes >= start, sieving new segments on demand."""
     lo = max(start, 1)
     while True:
-        hi = lo + chunk - 1
+        hi = lo + _PRIME_CHUNK - 1
         yield from sieve_segment(lo, hi).primes()
         lo = hi + 1

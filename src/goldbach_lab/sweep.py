@@ -85,15 +85,17 @@ def verify_block(lo: int, hi: int) -> list[int]:
     """Evens in [lo, hi] with no two-prime decomposition (expected: none)."""
     if lo % 2 or hi % 2:
         raise NotEven(f"block bounds must be even, got [{lo}, {hi}]")
+    if not 4 <= lo <= hi:
+        raise ValueError(f"need 4 <= lo <= hi, got [{lo}, {hi}]")
     seg_lo = max(2, lo - _PAIR_PRIME_BOUND)
     seg = sieve_segment(seg_lo, hi)
     # bit k of not_prime: first_odd + 2k is not prime; bit j of unresolved: lo + 2j
     first_odd = seg_lo | 1
     odd_flags = seg.flags[first_odd - seg_lo :: 2]
     not_prime = int(odd_flags[::-1].translate(_NOT_PRIME_DIGITS), 2)
-    unresolved = (1 << max(0, (hi - lo) // 2 + 1)) - 1
-    if lo <= 4 <= hi:
-        unresolved &= ~(1 << (4 - lo) // 2)  # 4 = 2 + 2, the one sum using 2
+    unresolved = (1 << ((hi - lo) // 2 + 1)) - 1
+    if lo == 4:
+        unresolved &= ~1  # 4 = 2 + 2, the one sum using 2
     for p in base_primes(_PAIR_PRIME_BOUND)[1:]:
         # lo + 2j - p = first_odd + 2(j + s); s < 0 only when seg_lo was clamped
         # to 2, and then the evens whose partner lies below 3 stay unresolved

@@ -1,6 +1,9 @@
+import functools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from goldbach_lab import census, primes
 from goldbach_lab.audit import audit_range
 from goldbach_lab.census import RowCensus, census_range, census_row
 from goldbach_lab.primes import prime_count
@@ -10,9 +13,9 @@ from oracles import trial_is_prime
 
 WALK = Range(1, 240)
 WALKERS = {
-    "census": lambda **kw: census_range(WALK, 12, **kw),
-    "audit-w1": lambda **kw: audit_range(WALK, 12, workers=1, **kw),
-    "audit-w2": lambda **kw: audit_range(WALK, 12, workers=2, **kw),
+    "census": lambda: census_range(WALK, 12),
+    "audit-w1": lambda: audit_range(WALK, 12, workers=1),
+    "audit-w2": lambda: audit_range(WALK, 12, workers=2),
 }
 
 
@@ -88,10 +91,20 @@ class TestCensusRange:
         "cap", [48, 13, 8, 7, None], ids=["cap48", "cap13", "cap8", "cap7", "default"]
     )
     @pytest.mark.parametrize("walker", list(WALKERS))
-    def test_chunked_sieving_matches_per_row(self, walker, cap):
-        kwargs = {} if cap is None else {"cap": cap}
+    def test_chunked_sieving_matches_per_row(self, walker, cap, monkeypatch):
         reference = census_range(WALK, 12) if walker == "census" else audit_range(WALK, 12)
-        result = WALKERS[walker](**kwargs)
+        segments = []
+        if cap is not None:
+            walk = functools.partial(primes.iter_segments, cap=cap)
+
+            def counted(lo, hi):
+                for seg in walk(lo, hi):
+                    segments.append(seg)
+                    yield seg
+
+            monkeypatch.setattr(census, "iter_segments", counted)
+        result = WALKERS[walker]()
+        assert cap is None or len(segments) > 1  # the small cap really split the walk
         assert result == reference
         items = result if walker == "census" else [(r.row, r.census) for r in result.reports]
         assert items == [(row, enumerate_census(row)) for row, _ in items]

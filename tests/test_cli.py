@@ -55,6 +55,32 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: ") and message in err
 
+    @pytest.mark.parametrize("argv, path, message", [
+        (["audit", "--from", "1", "--to", "100", "--row-width", "10", "--output", "missing/x"],
+         "missing/x", "No such file"),
+        (["audit", "--from", "1", "--to", "100", "--row-width", "10", "--output", "."],
+         ".", "Is a directory"),
+        (["verify", "--from", "4", "--to", "100", "--checkpoint", "missing/cp.json"],
+         "missing/cp.json", "No such file"),
+        (["verify", "--from", "4", "--to", "100", "--output", "missing/v.json"],
+         "missing/v.json", "No such file"),
+    ], ids=["audit-output-missing-dir", "audit-output-is-dir", "checkpoint-missing-dir",
+            "verify-output-missing-dir"])
+    def test_unusable_path_refused_before_the_work(
+        self, capsys, tmp_path, monkeypatch, argv, path, message
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the command ran before its path was checked")
+
+        monkeypatch.setattr("goldbach_lab.cli.audit_range", no_work)
+        monkeypatch.setattr("goldbach_lab.cli.run_verify", no_work)
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: ") and message in err
+        assert f"'{path}'" in err and ".tmp" not in err
+        assert list(tmp_path.iterdir()) == []  # nothing created or truncated
+
 
 class TestNumberParsing:
     def test_underscore_separators(self, capsys):

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from goldbach_lab.dc import (
+    ORACLE_CAP,
     DcResult,
     dc_min,
     dc_oracle,
@@ -105,9 +106,9 @@ class TestDcOracle:
 
     def test_above_cap(self):
         with pytest.raises(AboveOracleCap):
-            dc_oracle(1001, cap=1000)
+            dc_oracle(ORACLE_CAP + 1)
         with pytest.raises(AboveOracleCap):
-            dc_oracle_table(1001, cap=1000)
+            dc_oracle_table(ORACLE_CAP + 1)
 
     def test_table_against_exhaustive_enumeration(self):
         table = dc_oracle_table(60)

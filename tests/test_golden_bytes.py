@@ -3,11 +3,12 @@
 Refactors must keep the CLI bytes identical; any change to these digests is
 a change of the output contract.  The wall-time clause of ``verify`` text
 output is the only nondeterministic part and is stripped before hashing.
-The public surface is pinned too: every ``--help`` text at 80 columns and
-the package's ``__all__``.
+The public surface is pinned too: every ``--help`` text at 80 columns,
+the package's ``__all__`` and the signature of each public callable.
 """
 
 import hashlib
+import inspect
 import re
 
 import pytest
@@ -137,3 +138,77 @@ def test_public_names_are_pinned():
         "sieve_segment", "successor_offset", "validate_range", "validate_row",
         "verify_block",
     ]
+
+
+# str(inspect.signature(...)) of every public callable that has one: a new
+# keyword shows up here.  Exceptions that keep the built-in constructor have none.
+SIGNATURES = {
+    "AuditReport": (
+        "(row: 'Row', census: 'RowCensus', row_checks: 'tuple[RelationCheck, ...]', "
+        "even_checks: 'tuple[RelationCheck, ...]') -> None"
+    ),
+    "DcResult": "(target: 'int', value: 'int', witness: 'tuple[int, ...]') -> None",
+    "EvenAudit": "(target: 'int', dc_value: 'int', checks: 'tuple[RelationCheck, ...]') -> None",
+    "GoldbachCounterexample": '(target: int)',
+    "PrimeSegment": "(lo: 'int', hi: 'int', flags: 'bytes') -> None",
+    "Range": "(start: 'int', end: 'int') -> None",
+    "RangeAudit": (
+        "(reports: 'tuple[AuditReport, ...]', summary: 'dict[str, dict[str, int]]') -> None"
+    ),
+    "RelationCheck": (
+        "(relation_id: 'str', lhs_value: 'Number', rhs_value: 'Union[Number, tuple[int, int]]', "
+        "holds: 'bool', detail: 'str' = '') -> None"
+    ),
+    "Row": "(start: 'int', end: 'int') -> None",
+    "RowCensus": "(gamma_even: 'int', gamma_odd: 'int', gamma_prime: 'int', m: 'int') -> None",
+    "SweepCheckpoint": (
+        "(version: 'int', from_even: 'int', to_even: 'int', last_verified: 'int', "
+        "failures: 'tuple[int, ...]', started_at: 'str', updated_at: 'str') -> None"
+    ),
+    "SweepSummary": (
+        "(from_even: 'int', to_even: 'int', verified: 'int', failures: 'tuple[int, ...]', "
+        "elapsed_seconds: 'float', resumed_from: 'Optional[int]' = None) -> None"
+    ),
+    "ValidationVerdict": (
+        "(accepted: 'bool', violations: 'tuple[tuple[str, str], ...]', "
+        "subject: 'Union[Row, Range, None]' = None) -> None"
+    ),
+    "audit_range": (
+        "(rng: 'Range', width: 'int', relations: 'Optional[Sequence[str]]' = None, *, "
+        "workers: 'int' = 1) -> 'RangeAudit'"
+    ),
+    "audit_row": "(row: 'Row', relations: 'Optional[Sequence[str]]' = None) -> 'AuditReport'",
+    "census_range": "(rng: 'Range', width: 'int') -> 'list[tuple[Row, RowCensus]]'",
+    "census_row": "(row: 'Row') -> 'RowCensus'",
+    "dc_min": "(target: 'int') -> 'DcResult'",
+    "dc_oracle": "(target: 'int') -> 'int'",
+    "dc_oracle_table": "(limit: 'int') -> 'tuple[int, ...]'",
+    "decompositions": "(target: 'int', k: 'int') -> 'list[tuple[int, ...]]'",
+    "goldbach_pairs": "(target: 'int') -> 'list[tuple[int, int]]'",
+    "implication_eval": "(p: 'bool', q: 'bool', r: 'bool') -> 'tuple[bool, bool]'",
+    "is_prime": "(n: 'int') -> 'bool'",
+    "iter_primes": "(start: 'int' = 2) -> 'Iterator[int]'",
+    "nth_prime": "(x: 'int') -> 'int'",
+    "partition_rows": "(rng: 'Range', width: 'int') -> 'list[Row]'",
+    "prime_count": "(lo: 'int', hi: 'int') -> 'int'",
+    "run_verify": (
+        "(from_even: 'int', to_even: 'int', *, workers: 'int' = 1, "
+        "checkpoint_path: 'Optional[str]' = None, "
+        "checkpoint_stride: 'int' = 1048576) -> 'SweepSummary'"
+    ),
+    "sieve_segment": "(lo: 'int', hi: 'int') -> 'PrimeSegment'",
+    "successor_offset": "(a: 'Row', b: 'Row') -> 'int'",
+    "validate_range": "(candidate: 'Sequence[int]') -> 'ValidationVerdict'",
+    "validate_row": "(candidate: 'Sequence[int]') -> 'ValidationVerdict'",
+    "verify_block": "(lo: 'int', hi: 'int') -> 'list[int]'",
+}
+
+
+def test_public_signatures_are_pinned():
+    found = {}
+    for name in goldbach_lab.__all__:
+        try:
+            found[name] = str(inspect.signature(getattr(goldbach_lab, name)))
+        except (TypeError, ValueError):  # a constant, or a built-in exception constructor
+            pass
+    assert found == SIGNATURES

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from goldbach_lab.errors import InvalidInterval, OutOfBounds, SegmentTooLarge
 from goldbach_lab.primes import (
+    SEGMENT_CAP,
     is_prime,
     iter_primes,
     iter_segments,
@@ -38,7 +39,7 @@ class TestSieveSegment:
 
     def test_segment_cap(self):
         with pytest.raises(SegmentTooLarge):
-            sieve_segment(1, 1000, cap=100)
+            sieve_segment(1, SEGMENT_CAP + 1)  # refused before allocating
 
     def test_flags_shape(self):
         seg = sieve_segment(5, 19)
@@ -180,7 +181,7 @@ class TestNthPrime:
 
     def test_out_of_bounds(self):
         with pytest.raises(OutOfBounds):
-            nth_prime(10**6, limit=100)
+            nth_prime(2 * 10**8)  # Rosser bound ~4.4e9 > 2**32: refused before sieving
 
     def test_strictly_increasing_and_prime(self):
         values = [nth_prime(x) for x in range(1, 200)]

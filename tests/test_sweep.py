@@ -62,6 +62,12 @@ class TestVerifyBlock:
         with pytest.raises(NotEven):
             verify_block(5, 100)
 
+    @pytest.mark.parametrize("lo, hi", [(2, 10), (2, 2), (0, 4), (-4, 4), (10, 4)])
+    def test_bounds_below_four_or_out_of_order_rejected(self, lo, hi):
+        # 2 is no sum of two primes, so a block reaching below 4 has no exact answer
+        with pytest.raises(ValueError, match=r"need 4 <= lo <= hi"):
+            verify_block(lo, hi)
+
     @pytest.mark.parametrize("bound", [2, 3, 13, 31])
     @pytest.mark.parametrize(
         "lo, hi",

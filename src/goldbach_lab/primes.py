@@ -3,6 +3,12 @@
 Every answer is exact: point tests use a Miller-Rabin base set that is
 deterministic for all n < 2**64, and interval queries come from a segmented
 sieve of Eratosthenes with odd-only marking.  No probabilistic verdicts.
+
+The segmented sieve has one core, ``_odd_digits``: one ASCII digit per odd
+integer, ``1`` for not prime, which the sweep reads with ``int(..., 2)`` and
+``sieve_segment`` translates into flags.  Strikes assign a repeated 1-byte
+bytearray, because CPython first copies any other right-hand side of an
+extended-slice assignment into a temporary bytearray.
 """
 
 from __future__ import annotations
@@ -27,6 +33,10 @@ _PRIME_CHUNK = 1 << 16  # integers iter_primes sieves at a time
 _MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 _TINY_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+_COMPOSITE = bytearray(b"1")  # the core's not-prime digit; repeated, it strikes a run
+_CLEAR = bytearray(1)  # base_primes' not-prime flag, repeated the same way
+_PRIME_FLAGS = bytes.maketrans(b"01", b"\1\0")  # core digits -> PrimeSegment flags
 
 
 def is_prime(n: int) -> bool:
@@ -69,13 +79,33 @@ def base_primes(limit: int) -> tuple[int, ...]:
     """
     if limit < 2:
         return ()
-    flags = bytearray(b"\x01") * (limit + 1)
-    flags[0:2] = b"\x00\x00"
-    for p in range(2, isqrt(limit) + 1):
-        if flags[p]:
-            start = p * p
-            flags[start :: p] = b"\x00" * ((limit - start) // p + 1)
-    return tuple(compress(range(limit + 1), flags))
+    odd = bytearray(b"\x01") * ((limit + 1) // 2)  # odd[i]: 2i + 1 is prime
+    odd[0] = 0
+    for p in range(3, isqrt(limit) + 1, 2):
+        if odd[p >> 1]:
+            odd[p * p >> 1 :: p] = _CLEAR * ((limit - p * p) // (2 * p) + 1)
+    return (2,) + tuple(compress(range(1, limit + 1, 2), odd))
+
+
+def _odd_digits(first_odd: int, hi: int) -> bytearray:
+    """One ASCII digit per odd n in [first_odd, hi], ascending: ``1`` when n
+    is not prime, ``0`` when it is.  The package's one segment sieve."""
+    if hi >= _WORD_LIMIT:  # the base-prime table alone would need 4 GiB
+        raise OutOfBounds(f"sieve domain is [1, 2**64): got hi = {hi}")
+    n_odd = (hi - first_odd) // 2 + 1
+    digits = bytearray(b"0") * n_odd
+    if first_odd == 1:
+        digits[0:1] = _COMPOSITE
+    # Rounding the table size up lets every segment of a sweep share one
+    # cached table; the bisect keeps the extra primes, and 2, out of the loop.
+    table = base_primes(-(-isqrt(hi) // _BASE_TABLE_STEP) * _BASE_TABLE_STEP)
+    h = first_odd >> 1  # digit index of an odd n is (n >> 1) - h
+    for p in islice(table, 1, bisect_right(table, isqrt(hi))):
+        # first odd multiple of p to strike: p*p, or the first at or past first_odd
+        i = (p * p >> 1) - h if p * p >= first_odd else ((p >> 1) - h) % p
+        if i < n_odd:  # large primes often miss a short segment altogether
+            digits[i::p] = _COMPOSITE * ((n_odd - 1 - i) // p + 1)
+    return digits
 
 
 @dataclass(frozen=True)
@@ -114,13 +144,11 @@ class PrimeSegment:
 def sieve_segment(lo: int, hi: int) -> PrimeSegment:
     """Sieve the closed interval [lo, hi], where 1 <= lo <= hi < 2**64.
 
-    Only odd positions are marked during sieving; even positions other than
-    2 are composite by construction.
+    Only odd positions are sieved; even positions other than 2 are
+    composite by construction.
     """
     if lo < 1 or lo > hi:
         raise InvalidInterval(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
-    if hi >= _WORD_LIMIT:  # the base-prime table alone would need 4 GiB
-        raise OutOfBounds(f"sieve domain is [1, 2**64): got hi = {hi}")
     span = hi - lo + 1
     if span > SEGMENT_CAP:
         raise SegmentTooLarge(f"span {span} exceeds cap {SEGMENT_CAP}")
@@ -128,21 +156,7 @@ def sieve_segment(lo: int, hi: int) -> PrimeSegment:
     if lo <= 2 <= hi:
         flags[2 - lo] = 1
     first_odd = lo | 1
-    if first_odd <= hi:
-        n_odd = (hi - first_odd) // 2 + 1
-        mask = bytearray(b"\x01") * n_odd
-        if first_odd == 1:
-            mask[0] = 0
-        # Rounding the table size up lets every segment of a sweep share one
-        # cached table; the bisect keeps the extra primes, and 2, out of the loop.
-        table = base_primes(-(-isqrt(hi) // _BASE_TABLE_STEP) * _BASE_TABLE_STEP)
-        h = first_odd >> 1  # mask index of an odd n is (n >> 1) - h
-        for p in islice(table, 1, bisect_right(table, isqrt(hi))):
-            # first odd multiple of p to strike: p*p, or the first at or past first_odd
-            i = (p * p >> 1) - h if p * p >= first_odd else ((p >> 1) - h) % p
-            if i < n_odd:  # large primes often miss a short segment altogether
-                mask[i::p] = b"\x00" * ((n_odd - 1 - i) // p + 1)
-        flags[first_odd - lo :: 2] = mask
+    flags[first_odd - lo :: 2] = _odd_digits(first_odd, hi).translate(_PRIME_FLAGS)
     return PrimeSegment(lo, hi, bytes(flags))
 
 

@@ -1,14 +1,14 @@
 """Checkpointed bulk verification that every even splits into two primes.
 
-The fast path works blockwise on big-integer bitsets.  The segment's odd
-integers are packed one bit each into ``not_prime``, bit k set exactly when
-``first_odd + 2k`` is not prime, and the block's evens likewise into
-``unresolved``, bit j standing for ``lo + 2j``.  An even lo + 2j is p + q
-for an odd prime p exactly when bit j + s of ``not_prime`` is clear, with
-s = (lo - p - first_odd) / 2, so one shift and one AND per small odd prime
-resolve a whole block of evens (4 = 2 + 2 is the only sum that uses the
-even prime).  Evens left unresolved by every small prime (none are
-expected below the known search records) fall back to the exhaustive dc
+The fast path works blockwise on big-integer bitsets.  The sieve core
+writes one digit per odd of the segment, ``1`` for not prime, and
+``int(digits, 2)`` reads them as ``not_prime``: bit k is set exactly when
+``hi - 1 - 2k`` is not prime.  Bit j of ``unresolved`` stands for the even
+``hi - 2j``, which is p + q for an odd prime p exactly when bit j + (p >> 1)
+of ``not_prime`` is clear; so one shift by ``p >> 1`` and one AND per small
+odd prime resolve a whole block (4 = 2 + 2 is the only sum using the even
+prime).  Evens left unresolved by every small prime (none are expected
+below the known search records) go in ascending order to the exhaustive dc
 search, which either produces a pair or reports the even as a failure.
 
 A block holds the power of two just above sqrt(to) evens, but at least
@@ -33,7 +33,7 @@ from typing import Iterator, Optional
 
 from .dc import dc_min
 from .errors import CheckpointMismatch, GoldbachCounterexample, NotEven
-from .primes import base_primes, sieve_segment
+from .primes import _odd_digits, base_primes
 
 BLOCK_EVENS = 1 << 16  # fewest evens handed to a worker at a time
 _MAX_BLOCK_EVENS = 1 << 20  # most evens in one block, whatever the magnitude
@@ -41,7 +41,6 @@ DEFAULT_CHECKPOINT_STRIDE = 1 << 20  # evens between checkpoint writes
 CHECKPOINT_VERSION = 1
 
 _PAIR_PRIME_BOUND = 1 << 14  # small-prime budget before the exhaustive fallback
-_NOT_PRIME_DIGITS = bytes.maketrans(b"\0\1", b"10")  # sieve flags -> not_prime digits
 
 _INT_FIELDS = ("version", "from", "to", "last_verified")
 _STR_FIELDS = ("started_at", "updated_at")
@@ -88,26 +87,23 @@ def verify_block(lo: int, hi: int) -> list[int]:
     if not 4 <= lo <= hi:
         raise ValueError(f"need 4 <= lo <= hi, got [{lo}, {hi}]")
     seg_lo = max(2, lo - _PAIR_PRIME_BOUND)
-    seg = sieve_segment(seg_lo, hi)
-    # bit k of not_prime: first_odd + 2k is not prime; bit j of unresolved: lo + 2j
-    first_odd = seg_lo | 1
-    odd_flags = seg.flags[first_odd - seg_lo :: 2]
-    not_prime = int(odd_flags[::-1].translate(_NOT_PRIME_DIGITS), 2)
-    unresolved = (1 << ((hi - lo) // 2 + 1)) - 1
+    # bit k of not_prime: hi - 1 - 2k is not prime; bit j of unresolved: hi - 2j
+    not_prime = int(_odd_digits(seg_lo | 1, hi), 2)
+    if seg_lo == 2:  # bits above the top odd stand for 1 and below: never a partner
+        not_prime |= -1 << (hi // 2 - 1)
+    evens = (hi - lo) // 2 + 1
+    unresolved = (1 << evens) - 1
     if lo == 4:
-        unresolved &= ~1  # 4 = 2 + 2, the one sum using 2
+        unresolved &= ~(1 << ((hi - 4) // 2))  # 4 = 2 + 2, the one sum using 2
     for p in base_primes(_PAIR_PRIME_BOUND)[1:]:
-        # lo + 2j - p = first_odd + 2(j + s); s < 0 only when seg_lo was clamped
-        # to 2, and then the evens whose partner lies below 3 stay unresolved
-        s = (lo - p - first_odd) // 2
-        unresolved &= not_prime >> s if s >= 0 else (not_prime << -s) | ((1 << -s) - 1)
+        unresolved &= not_prime >> (p >> 1)  # hi - 2j - p = hi - 1 - 2(j + (p >> 1))
         if not unresolved:
             return []
     failures = []
-    for j, bit in enumerate(bin(unresolved)[:1:-1]):
+    for i, bit in enumerate(f"{unresolved:0{evens}b}"):  # digit i stands for lo + 2i
         if bit == "1":
             try:
-                dc_min(lo + 2 * j)
+                dc_min(lo + 2 * i)
             except GoldbachCounterexample as exc:
                 failures.append(exc.target)
     return failures

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 from goldbach_lab.errors import InvalidInterval, OutOfBounds, SegmentTooLarge
 from goldbach_lab.primes import (
     SEGMENT_CAP,
+    _odd_digits,
+    base_primes,
     is_prime,
     iter_primes,
     iter_segments,
@@ -104,6 +106,50 @@ class TestSieveSegment:
         for a, b in zip(segs, segs[1:]):
             assert b.lo == a.hi + 1
         assert sum(s.count() for s in segs) == prime_count(1, 1000)
+
+
+def digits_by_is_prime(first_odd, hi):
+    return b"".join(b"0" if is_prime(n) else b"1" for n in range(first_odd, hi + 1, 2))
+
+
+def odd_windows():
+    yield 1, 1  # 1 alone: not prime
+    yield 1, 2001
+    yield 3, 3  # windows holding one odd
+    yield 9, 10
+    for p in (65521, 65537):  # the table size steps at 2^16
+        square = p * p
+        yield square - 400, square  # ends at p^2: p must strike it
+        yield square - 400, square + 2  # just past
+    for magnitude in (10**9, 10**12, 10**14):
+        rng = random.Random(magnitude)
+        first_odd = (magnitude + rng.randrange(10**6)) | 1
+        yield first_odd, first_odd + 2000
+
+
+class TestOddDigits:
+    """The sieve core: one digit per odd, 1 for not prime, 0 for prime."""
+
+    @pytest.mark.parametrize("first_odd, hi", list(odd_windows()))
+    def test_matches_is_prime(self, first_odd, hi):
+        assert _odd_digits(first_odd, hi) == digits_by_is_prime(first_odd, hi)
+
+    def test_empty_when_no_odd(self):
+        assert _odd_digits(5, 4) == b""
+
+    def test_refused_from_two_to_the_64(self):
+        with pytest.raises(OutOfBounds, match=r"2\*\*64"):
+            _odd_digits((1 << 64) + 1, (1 << 64) + 10)  # refused before allocating
+
+
+class TestBasePrimes:
+    def test_matches_trial_division(self):
+        for n in range(301):
+            assert base_primes(n) == tuple(trial_primes_between(2, n)), n
+
+    @pytest.mark.parametrize("limit, count", [(1 << 16, 6542), (1 << 20, 82025)])
+    def test_counts(self, limit, count):
+        assert len(base_primes(limit)) == count
 
 
 class TestIsPrime:

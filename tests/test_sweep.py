@@ -13,7 +13,6 @@ from goldbach_lab import sweep
 from goldbach_lab.cli import main
 from goldbach_lab.dc import dc_min, goldbach_pairs
 from goldbach_lab.errors import CheckpointMismatch, NotEven
-from goldbach_lab.primes import PrimeSegment
 from goldbach_lab.sweep import (
     CHECKPOINT_VERSION,
     SweepCheckpoint,
@@ -30,6 +29,10 @@ T0 = "2024-01-01T00:00:00Z"
 # near 10^12 a block holds 2^20 evens; this window needs two of them
 HIGH_LO = 10**12
 HIGH_HI = HIGH_LO + 2 * ((1 << 20) + (1 << 12))
+
+# the default pair-prime budget; a block from B + 0 or B + 2 sieves from 2
+B = sweep._PAIR_PRIME_BOUND
+AT_THE_CLAMP = [(B, B + 200), (B + 2, B + 200), (B + 4, B + 200)]
 
 
 def make_checkpoint(**overrides):
@@ -68,43 +71,59 @@ class TestVerifyBlock:
         with pytest.raises(ValueError, match=r"need 4 <= lo <= hi"):
             verify_block(lo, hi)
 
-    @pytest.mark.parametrize("bound", [2, 3, 13, 31])
+    @pytest.mark.parametrize("bound", [2, 3, 13, 31, B])
     @pytest.mark.parametrize(
         "lo, hi",
-        [(4, 4), (6, 6), (4, 600), (998, 1400), (10**6, 10**6 + 2000), (10**12, 10**12 + 2000)],
+        [(4, 4), (6, 6), (4, 600), (998, 1400), (10**6, 10**6 + 2000), (10**12, 10**12 + 2000)]
+        + AT_THE_CLAMP,
     )
     def test_fallback_gets_exactly_the_unresolved_evens(self, monkeypatch, bound, lo, hi):
         # With a tiny pair-prime budget the mask pass leaves evens whose
         # smallest Goldbach prime exceeds it; those, and only those, must
         # reach dc_min, in ascending order.
-        seen = []
-
-        def recording_dc_min(n):
-            seen.append(n)
-            return dc_min(n)
-
+        seen = record_fallback(monkeypatch)
         monkeypatch.setattr(sweep, "_PAIR_PRIME_BOUND", bound)
-        monkeypatch.setattr(sweep, "dc_min", recording_dc_min)
         assert verify_block(lo, hi) == []
         assert seen == [n for n in range(lo, hi + 1, 2) if dc_min(n).witness[0] > bound]
 
-    @pytest.mark.parametrize("lo, hi", [(4, 600), (6, 6), (10**6, 10**6 + 200)])
+    @pytest.mark.parametrize("lo, hi", [(4, 600), (6, 6), (10**6, 10**6 + 200)] + AT_THE_CLAMP)
     def test_mask_pass_resolves_only_what_the_sieve_shows(self, monkeypatch, lo, hi):
         # A sieve that reports no primes must leave every even but 4 to the
-        # fallback; in particular the evens whose partner would lie below
-        # the segment (left shifts) must not be taken as resolved.
-        seen = []
-
-        def recording_dc_min(n):
-            seen.append(n)
-            return dc_min(n)
-
-        monkeypatch.setattr(
-            sweep, "sieve_segment", lambda a, b: PrimeSegment(a, b, bytes(b - a + 1))
-        )
-        monkeypatch.setattr(sweep, "dc_min", recording_dc_min)
+        # fallback; in particular the evens whose partner would lie below 3,
+        # past the top of the sieved digits, must not be taken as resolved.
+        seen = record_fallback(monkeypatch)
+        monkeypatch.setattr(sweep, "_odd_digits", no_primes)
         assert verify_block(lo, hi) == []
         assert seen == [n for n in range(lo, hi + 1, 2) if n != 4]
+
+    @pytest.mark.parametrize("lo", [32, 34, 36])
+    def test_partner_one_is_no_prime_at_a_prime_bound(self, monkeypatch, lo):
+        # At the default bound no base prime comes within 3 of B, so no even
+        # of AT_THE_CLAMP has a partner below 3.  With the prime bound 31 the
+        # block from 32 sieves from 2 and 32 = 31 + 1 reaches past the top
+        # odd digit; 34 and 36 sieve from 3 and 5 and need no padding.
+        seen = record_fallback(monkeypatch)
+        monkeypatch.setattr(sweep, "_PAIR_PRIME_BOUND", 31)
+        monkeypatch.setattr(sweep, "_odd_digits", no_primes)
+        assert verify_block(lo, lo + 40) == []
+        assert seen == list(range(lo, lo + 41, 2))
+
+
+def record_fallback(monkeypatch):
+    """Route verify_block's fallback through dc_min, recording each even."""
+    seen = []
+
+    def recording_dc_min(n):
+        seen.append(n)
+        return dc_min(n)
+
+    monkeypatch.setattr(sweep, "dc_min", recording_dc_min)
+    return seen
+
+
+def no_primes(first_odd, hi):
+    """A sieve core that reports every odd as not prime."""
+    return bytearray(b"1") * ((hi - first_odd) // 2 + 1)
 
 
 def block_evens(block):

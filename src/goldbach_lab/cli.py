@@ -11,7 +11,7 @@ import argparse
 import errno
 import os
 import sys
-from typing import Optional
+from typing import Iterable, Optional, Union
 
 from . import serialize
 from .audit import audit_range
@@ -43,12 +43,15 @@ def _check_paths(*paths: Optional[str]) -> None:
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
-def _emit(text: str, path: Optional[str]) -> None:
+def _emit(chunks: Union[str, Iterable[str]], path: Optional[str]) -> None:
+    """Write the output text, or its chunks as they render, to path or stdout."""
+    if isinstance(chunks, str):  # writelines on a str writes it one character at a time
+        chunks = (chunks,)
     if path:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _add_common(parser: argparse.ArgumentParser, formats=serialize.FORMATS) -> None:
@@ -89,16 +92,13 @@ def cmd_audit(args: argparse.Namespace) -> int:
         Range(args.from_, args.to), args.row_width, workers=args.workers
     )
     if args.format == "json":
-        text = serialize.to_json(
-            "audit",
-            {"from": args.from_, "to": args.to, "width": args.row_width},
-            *serialize.audit_payload(result),
-        )
+        params = {"from": args.from_, "to": args.to, "width": args.row_width}
+        chunks = serialize.audit_json(result, params)
     elif args.format == "csv":
-        text = serialize.audit_csv(result)
+        chunks = serialize.audit_csv(result)
     else:
-        text = serialize.audit_text(result)
-    _emit(text, args.output)
+        chunks = serialize.audit_text(result)
+    _emit(chunks, args.output)
     return 0
 
 

@@ -10,11 +10,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-import re
-from typing import Any, Callable, Optional, Union
+from functools import cache
+from typing import Any, Iterator, Union
 
 from . import __version__ as TOOL_VERSION
-from .audit import _DC_VALUE, AuditReport, RangeAudit, RelationCheck
+from .audit import _DC_VALUE, RangeAudit, RelationCheck
 from .census import RowCensus
 from .dc import DcResult
 from .primes import PrimeSegment
@@ -22,28 +22,30 @@ from .rowrange import Row
 from .sweep import SweepSummary
 
 FORMATS = ("json", "csv", "text")
-_FRAGMENT = re.compile(r'"\\u0000(\d+)\\u0000"')  # json escapes NUL as \u0000
+_EVENS_PER_CHUNK = 1024  # a rendered chunk holds at most this many evens' entries
 
 
-def to_json(
-    command: str, parameters: dict[str, Any], payload: Any, fragments: Optional[dict] = None
-) -> str:
-    """One command's result in the fixed JSON envelope; a payload string "\\0<key>\\0"
-    (no payload string holds a NUL) stands for the JSON text fragments[key]."""
+def _dumps(value: Any, depth: int) -> str:
+    """json.dumps(value, sort_keys=True, indent=2) as it reads nested at depth."""
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + "  " * depth)
+
+
+def to_json(command: str, parameters: dict[str, Any], payload: Any) -> str:
+    """One command's result in the fixed JSON envelope."""
     doc = {
         "command": command,
         "parameters": parameters,
         "payload": payload,
         "tool_version": TOOL_VERSION,
     }
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    return _FRAGMENT.sub(lambda m: fragments[int(m[1])], text) if fragments else text
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _per_checks(result: RangeAudit, render: Callable[[tuple], Any]) -> dict[int, Any]:
-    """render(checks) by id(checks), once per distinct even checks tuple (a cache)."""
-    distinct = {id(r.even_checks): r.even_checks for r in result.reports}
-    return {key: render(checks) for key, checks in distinct.items()}
+def _entries(evens: range, pieces: list[str], sep: str = "") -> Iterator[str]:
+    """sep.join(str(A).join(pieces) for A in evens), a bounded number of evens per chunk."""
+    for i in range(0, len(evens), _EVENS_PER_CHUNK):
+        part = evens[i : i + _EVENS_PER_CHUNK]
+        yield (sep if i else "") + sep.join([str(a).join(pieces) for a in part])
 
 
 # ---------------------------------------------------------------------------
@@ -74,28 +76,49 @@ def _check_doc(c: RelationCheck) -> dict[str, Any]:
     }
 
 
-def _report_doc(report: AuditReport) -> dict[str, Any]:
-    checks = f"\0{id(report.even_checks)}\0"
-    return {
-        "row": _row_doc(report.row),
-        "census": _census_doc(report.census),
-        "row_checks": [_check_doc(c) for c in report.row_checks],
-        "per_even": [
-            {"A": a, "dc_value": _DC_VALUE, "checks": checks} for a in report.evens
+def _row_template(
+    census: RowCensus, row_checks: tuple[RelationCheck, ...], even_checks: tuple[RelationCheck, ...]
+) -> tuple[str, list[str], str]:
+    """A row entry of the audit document at its depth in the envelope: the text
+    before the evens, the pieces each even's A joins, the text after the row start."""
+    even_text = _dumps([_check_doc(c) for c in even_checks], 6)
+    row_text = _dumps([_check_doc(c) for c in row_checks], 4)
+    return (
+        f'      {{\n        "census": {_dumps(_census_doc(census), 4)},\n        "per_even": [',
+        [
+            '\n          {\n            "A": ',
+            f',\n            "checks": {even_text},'
+            f'\n            "dc_value": {_DC_VALUE}\n          }}',
         ],
-    }
+        f'\n        }},\n        "row_checks": {row_text}\n      }}',
+    )
 
 
-def _checks_fragment(checks: tuple[RelationCheck, ...]) -> str:
-    text = json.dumps([_check_doc(c) for c in checks], sort_keys=True, indent=2)
-    return text.replace("\n", "\n" + " " * 12)  # the list's depth in the envelope
+def audit_json(result: RangeAudit, parameters: dict[str, Any]) -> Iterator[str]:
+    """to_json("audit", parameters, {"rows": ..., "verdict_summary": ...}) as chunks.
 
-
-def audit_payload(result: RangeAudit) -> tuple[dict[str, Any], dict[int, str]]:
-    """The payload and the to_json fragment of each distinct per-even check list."""
-    rows = [_report_doc(r) for r in result.reports]
-    payload = {"rows": rows, "verdict_summary": result.summary}
-    return payload, _per_checks(result, _checks_fragment)
+    Each distinct (census, row checks, even checks) key renders its row
+    template once; each per-even entry is then prefix + str(A) + suffix.
+    """
+    template = cache(_row_template)
+    yield (
+        f'{{\n  "command": "audit",\n  "parameters": {_dumps(parameters, 1)},\n'
+        '  "payload": {\n    "rows": ['
+    )
+    for i, report in enumerate(result.reports):
+        head, pieces, tail = template(report.census, report.row_checks, report.even_checks)
+        yield (",\n" if i else "\n") + head
+        yield from _entries(report.evens, pieces, ",")
+        end, start = report.row.end, report.row.start
+        yield (
+            ("\n        ]," if report.evens else "],")
+            + f'\n        "row": {{\n          "end": {end},\n          "start": {start}{tail}'
+        )
+    yield (
+        ("\n    ]" if result.reports else "]")
+        + f',\n    "verdict_summary": {_dumps(result.summary, 2)}\n  }},'
+        + f'\n  "tool_version": {json.dumps(TOOL_VERSION)}\n}}\n'
+    )
 
 
 def census_payload(items: list[tuple[Row, RowCensus]]) -> list[dict[str, Any]]:
@@ -163,7 +186,7 @@ def _check_cells(check: RelationCheck) -> list[str]:
     return [check.relation_id, lhs, rhs, _cell(check.holds)]
 
 
-def audit_csv(result: RangeAudit) -> str:
+def audit_csv(result: RangeAudit) -> Iterator[str]:
     """Two flat tables: per-row checks, a blank line, then per-A checks."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -173,14 +196,15 @@ def audit_csv(result: RangeAudit) -> str:
         writer.writerows(cells + _check_cells(check) for check in report.row_checks)
     buf.write("\n")
     writer.writerow(["row_start", "A", "dc_value"] + _CHECK_COLUMNS)
-    # no per-even cell needs quoting, so each check list's row tails render once
-    tails = _per_checks(result, lambda cs: [",".join(_check_cells(c)) + "\n" for c in cs])
+    yield buf.getvalue()
+    # no per-even cell needs quoting, so each check list's line tails render once
+    tails = cache(lambda checks: [f",{_DC_VALUE},{','.join(_check_cells(c))}\n" for c in checks])
     for report in result.reports:
-        tail = tails[id(report.even_checks)]
-        for a in report.evens if tail else ():  # an empty tail writes no line
-            prefix = f"{report.row.start},{a},{_DC_VALUE},"
-            buf.write(prefix + prefix.join(tail))
-    return buf.getvalue()
+        lines = tails(report.even_checks)
+        if lines:  # each even's lines are start + A + a tail
+            start = f"{report.row.start},"
+            pieces = [start, *(tail + start for tail in lines[:-1]), lines[-1]]
+            yield from _entries(report.evens, pieces)
 
 
 def census_csv(items: list[tuple[Row, RowCensus]]) -> str:
@@ -207,22 +231,21 @@ def _failing_note(checks: tuple[RelationCheck, ...]) -> str:
     return f" failing: {', '.join(failing)}" if failing else ""
 
 
-def audit_text(result: RangeAudit) -> str:
-    notes = _per_checks(result, _failing_note)
-    lines = []
+def audit_text(result: RangeAudit) -> Iterator[str]:
+    notes = cache(_failing_note)
     for report in result.reports:
-        lines.append(_census_line(report.row, report.census))
+        lines = [_census_line(report.row, report.census)]
         for check in report.row_checks:
             lines.append(
                 f"  {check.relation_id}: lhs={_cell(check.lhs_value)} "
                 f"rhs={_cell(check.rhs_value)} holds={_cell(check.holds)}"
             )
-        note = notes[id(report.even_checks)]
-        lines.extend(f"  A={a} dc={_DC_VALUE}{note}" for a in report.evens)
-    lines.append("summary (held/failed):")
+        yield "\n".join(lines) + "\n"
+        note = notes(report.even_checks)
+        yield from _entries(report.evens, ["  A=", f" dc={_DC_VALUE}{note}\n"])
+    yield "summary (held/failed):\n"
     for rid, counts in result.summary.items():
-        lines.append(f"  {rid}: {counts['held']}/{counts['failed']}")
-    return "\n".join(lines) + "\n"
+        yield f"  {rid}: {counts['held']}/{counts['failed']}\n"
 
 
 def census_text(items: list[tuple[Row, RowCensus]]) -> str:

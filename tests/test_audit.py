@@ -1,3 +1,4 @@
+import csv
 import json
 import multiprocessing
 import os
@@ -305,10 +306,38 @@ class TestAggregation:
 
         monkeypatch.setattr(audit, "EvenAudit", no_even_audit)
         result = audit_range(Range(1, 2000), 20)
-        assert serialize.audit_csv(result).count("\n") > 1000
-        text = serialize.to_json("audit", {}, *serialize.audit_payload(result))
+        assert "".join(serialize.audit_csv(result)).count("\n") > 1000
+        text = "".join(serialize.audit_json(result, {}))
         assert len(json.loads(text)["payload"]["rows"]) == 100
-        assert serialize.audit_text(result).endswith("\n")
+        assert "".join(serialize.audit_text(result)).endswith("\n")
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        start=st.integers(1, 10**5),
+        width=st.integers(1, 40),
+        rows=st.integers(1, 6),
+        relations=st.none() | st.sets(st.sampled_from(ALL_RELATIONS)).map(sorted),
+    )
+    def test_json_templates_match_the_encoder(self, start, width, rows, relations):
+        end = start + width * rows - 1
+        result = audit_range(Range(start, end), width, relations)
+        docs = [
+            {
+                "row": {"start": r.row.start, "end": r.row.end},
+                "census": serialize._census_doc(r.census),
+                "row_checks": [serialize._check_doc(c) for c in r.row_checks],
+                "per_even": [
+                    {"A": e.target, "dc_value": e.dc_value,
+                     "checks": [serialize._check_doc(c) for c in e.checks]}
+                    for e in r.per_even
+                ],
+            }
+            for r in result.reports
+        ]
+        params = {"from": start, "to": end, "width": width}
+        payload = {"rows": docs, "verdict_summary": result.summary}
+        expected = serialize.to_json("audit", params, payload)
+        assert "".join(serialize.audit_json(result, params)) == expected
 
 
 def peak_kib_of_audit(tmp_path, fmt):
@@ -330,15 +359,34 @@ def peak_kib_of_audit(tmp_path, fmt):
         capture_output=True, text=True, env=env, timeout=300, check=True,
     )
     assert out.stat().st_size > 10**6
-    return int(proc.stdout.split()[-1])
+    return int(proc.stdout.split()[-1]), out
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM from procfs")
 class TestAuditMemory:
+    """The output is written as it renders: peak RSS stays far below its size."""
+
     def test_csv_peak_is_bounded(self, tmp_path):
-        peak_kib = peak_kib_of_audit(tmp_path, "csv")
-        assert peak_kib < 110 * 1024, f"peak RSS {peak_kib} KiB"
+        peak_kib, out = peak_kib_of_audit(tmp_path, "csv")
+        # 40, not 64: the CSV built as one string peaked at about 61 MiB
+        assert peak_kib < 40 * 1024, f"peak RSS {peak_kib} KiB"
+        lines = [0, 0]  # lines of the per-row and the per-even table, headers included
+        with open(out, newline="") as fh:
+            table = 0
+            for cells in csv.reader(fh):
+                table += not cells
+                lines[table] += bool(cells)
+        per_even = (10**5 // 2 - 1) * len(EVEN_RELATIONS)
+        assert lines == [1 + 1000 * len(ROW_RELATIONS), 1 + per_even]
 
     def test_json_peak_is_bounded(self, tmp_path):
-        peak_kib = peak_kib_of_audit(tmp_path, "json")
-        assert peak_kib < 512 * 1024, f"peak RSS {peak_kib} KiB"
+        peak_kib, out = peak_kib_of_audit(tmp_path, "json")
+        assert peak_kib < 64 * 1024, f"peak RSS {peak_kib} KiB"
+
+        def drop_per_even(obj):  # keeps the parsed document small
+            return None if "A" in obj or "relation_id" in obj else obj
+
+        doc = json.loads(out.read_text(), object_hook=drop_per_even)
+        rows = doc["payload"]["rows"]
+        assert len(rows) == 1000
+        assert sum(len(r["per_even"]) for r in rows) == 10**5 // 2 - 1

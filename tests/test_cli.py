@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from goldbach_lab import cli
 from goldbach_lab.cli import main
 
 
@@ -266,6 +267,37 @@ class TestOutputFile:
         assert code == 0
         assert out == ""
         assert json.loads(path.read_text())["payload"]["value"] == 2
+
+    def test_failed_audit_creates_no_output_file(self, capsys, tmp_path):
+        path = tmp_path / "out"
+        code, _, err = run_cli(
+            capsys, "audit", "--from", "1", "--to", "7", "--row-width", "3",
+            "--output", str(path),
+        )
+        assert code == 2 and "error: " in err
+        assert list(tmp_path.iterdir()) == []
+
+
+class CountingFile:
+    """A file-like object that counts write calls; writelines writes item by item."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+
+class TestEmit:
+    def test_a_string_is_one_write(self, monkeypatch):
+        out = CountingFile()
+        monkeypatch.setattr(cli.sys, "stdout", out)
+        cli._emit("one string\n" * 1000, None)
+        assert out.writes == ["one string\n" * 1000]
 
 
 class TestInstalledEntryPoint:

@@ -14,6 +14,7 @@ import re
 import pytest
 
 import goldbach_lab
+from goldbach_lab import serialize
 from goldbach_lab.cli import main
 
 _WALL_TIME = re.compile(rb" in \d+\.\d\d s")
@@ -30,6 +31,13 @@ COMMANDS = {
                  "--workers", "2"],
     "audit-high": ["audit", "--from", str(10**12 + 1), "--to", str(10**12 + 600),
                    "--row-width", "20"],
+    # [1,2] has no even A > 2 but the census of [5,6], which has one
+    "audit-no-evens": ["audit", "--from", "1", "--to", "6", "--row-width", "2"],
+    "audit-one-even": ["audit", "--from", "3", "--to", "4", "--row-width", "2"],
+    "audit-two": ["audit", "--from", "2", "--to", "2", "--row-width", "1"],
+    "audit-odd-width": ["audit", "--from", "1", "--to", "994", "--row-width", "7"],
+    # rows of 1249 and 1250 evens, more than one rendered chunk each
+    "audit-wide": ["audit", "--from", "1", "--to", "5000", "--row-width", "2500"],
     "census-low": ["census", "--from", "1", "--to", "1000", "--row-width", "100"],
     "census-high": ["census", "--from", str(10**12 + 1), "--to", str(10**12 + 600),
                     "--row-width", "50"],
@@ -70,6 +78,21 @@ DIGESTS = {
     "audit-high-json": "1b0331369c076f267d0b350340ccc1b256ababa0eff309781bfcabb4590d5ca7",
     "audit-high-csv": "ac6f10287ffd7ac289d7f253d2a92c6b79ba18d72c25d56dbef9b7bd8d50d4d8",
     "audit-high-text": "fbdc29b67749d1d2810a0d9f83b557bf3952abbee43e1d1d2b11d4341011158a",
+    "audit-no-evens-json": "4ed5c6e5bf33bb8061c8f857ac39d9cb8410d7abba6f6c484bd3db59297bb56f",
+    "audit-no-evens-csv": "fab1ff4ab9d712167dee04fb5beef3ab87c99df41c5966ea3b7b248d0096ac12",
+    "audit-no-evens-text": "ffef48209a77db108accca6189fe594c66a292c33422ce22dec59fd8caf84301",
+    "audit-one-even-json": "d760873ac9737f7660f6cfa1d7937f445a0190e126250701e832eb23fe8fc9c0",
+    "audit-one-even-csv": "2de1d0f8cbdb404f60a86b9eccedeeafaef280b24bb4c89b93b67bbebeb9ac9b",
+    "audit-one-even-text": "e4b2d98d137b1c53450df75c736f8de844bbf1e3873f5a036d9d05143c5e5171",
+    "audit-two-json": "19197b8c110997f7a8ab39ec60f97ad481ded262bafd461ead2645fb67c39eb3",
+    "audit-two-csv": "94d85d85ffbacfd8006cfe57252ddd37beb1f90795e4bb9629b7d4d73c319f30",
+    "audit-two-text": "a771fa04906b5a4837675f49f34cf676f294603913e29abacae4c61319d769c1",
+    "audit-odd-width-json": "7e5c2dff5227f35f951603f7363e6e0c0caccc09634c849347240d65231c28cf",
+    "audit-odd-width-csv": "59e18a7fa703a368f0bf9c9087a2c82a48a0a5ae3fed12bc1649e8ef4f93c749",
+    "audit-odd-width-text": "3533b5689e02b3cddb6beef57b36ee7f38df7406d38db1fec4619ca00a497823",
+    "audit-wide-json": "66a63a071ebe813163d65299f83faaedd963560f80fa440435d49a5187921f92",
+    "audit-wide-csv": "3afcead67336c4a4acd14e74eeb57a7e546d07cae1eebc992be156145d3fbbf7",
+    "audit-wide-text": "50731b69a6a3521fa611817b3eb5360437cc243c57a49a694099172b17d56073",
     "census-low-json": "0f3421f02b445c101b01bc64c1e9f72b4149cacafb01844c510f75444737cbe1",
     "census-low-csv": "e9ebbc96dff56495bf92f37794be0ad396cee299428d0ccb1dbf85271ea2b096",
     "census-low-text": "d16c9ac93d6f86aff4ae8f4a447fecd88bb3fd1b2e3cf8e9e2fa60de4e72f8cc",
@@ -100,6 +123,40 @@ def output_digest(argv, tmp_path):
 @pytest.mark.parametrize("case, argv", CASES, ids=[c for c, _ in CASES])
 def test_output_bytes_are_pinned(case, argv, tmp_path):
     assert output_digest(argv, tmp_path) == DIGESTS[case]
+
+
+# The audit renderers' chunks, joined, at library level: a relation subset
+# with no even checks, one with no row checks, and one with both.
+# Digests of (json, csv, text) for audit_range(Range(1, 5000), 100, relations).
+LIBRARY_AUDIT_DIGESTS = {
+    ("A1",): (
+        "68e532f179c0e69ad0cc269dbaa389a6d4e842f82ff45917aa21b427e8461fe6",
+        "c0932d419815375c36c3b2d4a90a5600a997473a58c4721a4b97daf33c2e8cbd",
+        "aae2563178c037ddb3b6d129e550ceeafb01e40d1ab5592c12129d140810c72f",
+    ),
+    ("(4)",): (
+        "40aa23a25559bb057ad23e8ca4f03e70962b79426e8c101bd61fc29cebbf0a6c",
+        "2d2dcf654ead8c6a15cd8098f82bdba5b16d0312899e0e203604ebc886b39ec9",
+        "434cf42481158679589ae9e435ece5edd619c253b75132be07115e3add73c1eb",
+    ),
+    ("(4)", "A1"): (
+        "0bf8b244b49b989fb502850ed334bffe4358b20986d6a6777a4f2a0debc52d04",
+        "a5fe60e5c64e45a4d8ce4ce4ff486086a10f137c39893c4773cfe9b906da356d",
+        "626a21c4c601b321ea82110b4100b972cb2a8839ec4bd76cb7cddad9e71037b7",
+    ),
+}
+
+
+@pytest.mark.parametrize("relations", list(LIBRARY_AUDIT_DIGESTS), ids=" ".join)
+def test_audit_renderer_chunks_are_pinned(relations):
+    result = goldbach_lab.audit_range(goldbach_lab.Range(1, 5000), 100, list(relations))
+    renders = (
+        serialize.audit_json(result, {"from": 1, "to": 5000, "width": 100}),
+        serialize.audit_csv(result),
+        serialize.audit_text(result),
+    )
+    digests = tuple(hashlib.sha256("".join(r).encode()).hexdigest() for r in renders)
+    assert digests == LIBRARY_AUDIT_DIGESTS[relations]
 
 
 HELP_DIGESTS = {

@@ -15,7 +15,10 @@ An even A > 2 is not prime, so DC(A) = 2 exactly when some p + q = A.  The
 audit composes the other engines: ``census_range`` counts the rows, and one
 ``sweep.run_verify`` over the range's evens (the only pooled step) finds
 such a pair for each or raises.  So an audited even's ``dc_value`` is 2 and
-its checks depend on the census alone: one tuple per census, held once per row.
+its checks depend on the census alone, as the row checks do.  ``audit_range``
+evaluates both once per distinct census, and the rows with that census share
+one census object and its two checks tuples; ``summarize`` then tallies each
+distinct tuple once, weighted by the rows or evens that hold it.
 """
 
 from __future__ import annotations
@@ -237,12 +240,18 @@ def summarize(reports: Sequence[AuditReport]) -> dict[str, dict[str, int]]:
     """Held/failed counts per relation id, in catalog order.
 
     A report's row checks count once and its even checks once per even.
+    Each distinct checks tuple is tallied once, weighted by its users: equal
+    tuples from one audit are one object, and grouping by identity stays
+    exact for reports mixed from several audits.
     """
-    tally: Counter[tuple[str, bool]] = Counter()
+    groups: dict[int, list] = {}  # id(checks) -> [checks, the rows or evens it serves]
     for r in reports:
-        for checks, users in ((r.row_checks, 1), (r.even_checks, len(r.evens))):
-            for check in checks:
-                tally[check.relation_id, check.holds] += users
+        for checks, n in ((r.row_checks, 1), (r.even_checks, len(r.evens))):
+            groups.setdefault(id(checks), [checks, 0])[1] += n
+    tally: Counter[tuple[str, bool]] = Counter()
+    for checks, users in groups.values():
+        for check in checks:
+            tally[check.relation_id, check.holds] += users
     return {
         rid: {"failed": tally[rid, False], "held": tally[rid, True]}
         for rid in ALL_RELATIONS
@@ -263,14 +272,17 @@ def audit_range(
     wanted = _relation_filter(relations)
     censuses = census_range(rng, width)
     _prove_pairs(rng.start, rng.end, workers)
-    shared: dict[RowCensus, tuple[RelationCheck, ...]] = {}  # census -> even checks
+    shared: dict[RowCensus, tuple] = {}  # census -> (census, row checks, even checks)
     reports = []
     for row, census in censuses:
-        row_checks = tuple(c for c in evaluate_row_relations(census) if c.relation_id in wanted)
         evens = _evens(row.start, row.end)
-        checks = shared.get(census) if evens else ()
-        if checks is None:
-            checks = evaluate_even_relations(evens[0], _DC_VALUE, census)
-            checks = shared[census] = tuple(c for c in checks if c.relation_id in wanted)
-        reports.append(AuditReport(row, census, row_checks, checks))
+        entry = shared.get(census)
+        if entry is None:  # the checks read the census alone, so A = 4 stands for any even
+            both = evaluate_row_relations(census), evaluate_even_relations(4, _DC_VALUE, census)
+            entry = shared[census] = (
+                census,
+                *(tuple(c for c in group if c.relation_id in wanted) for group in both),
+            )
+        census, row_checks, even_checks = entry
+        reports.append(AuditReport(row, census, row_checks, even_checks if evens else ()))
     return RangeAudit(tuple(reports), summarize(reports))

@@ -11,7 +11,7 @@ import argparse
 import errno
 import os
 import sys
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from . import serialize
 from .audit import audit_range
@@ -160,14 +160,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="goldbach-lab",
-        description="Verify two-prime decompositions and audit row relation sets.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify", help="check every even in [from, to] splits into two primes")
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
     _add_bounds(p)
     p.add_argument("--workers", type=_natural, default=1)
     p.add_argument("--checkpoint", metavar="PATH", default=None)
@@ -178,36 +171,70 @@ def build_parser() -> argparse.ArgumentParser:
         help="evens between checkpoint writes",
     )
     _add_common(p, formats=("json", "text"))
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("audit", help="evaluate the relation catalog on every row")
+
+def _audit_arguments(p: argparse.ArgumentParser) -> None:
     _add_bounds(p, row_width=True)
     p.add_argument("--workers", type=_natural, default=1)
     _add_common(p)
-    p.set_defaults(func=cmd_audit)
 
-    p = sub.add_parser("census", help="count evens, odds, and primes per row")
+
+def _census_arguments(p: argparse.ArgumentParser) -> None:
     _add_bounds(p, row_width=True)
     _add_common(p)
-    p.set_defaults(func=cmd_census)
 
-    p = sub.add_parser("dc", help="minimal prime-summand count for one target")
+
+def _dc_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("target", type=_natural)
     p.add_argument("--pairs", action="store_true", help="also list all prime pairs")
     _add_common(p, formats=("json", "text"))
-    p.set_defaults(func=cmd_dc)
 
-    p = sub.add_parser("sieve", help="sieve one segment and report its primes")
+
+def _sieve_arguments(p: argparse.ArgumentParser) -> None:
     _add_bounds(p)
     p.add_argument("--list", action="store_true", help="include the full prime list")
     _add_common(p, formats=("json", "text"))
-    p.set_defaults(func=cmd_sieve)
 
-    p = sub.add_parser("partition", help="split a range into equal-width rows")
+
+def _partition_arguments(p: argparse.ArgumentParser) -> None:
     _add_bounds(p, row_width=True)
     _add_common(p, formats=("json", "text"))
-    p.set_defaults(func=cmd_partition)
 
+
+_COMMANDS = (  # name, help, the function adding its arguments, handler
+    ("verify", "check every even in [from, to] splits into two primes", _verify_arguments,
+     cmd_verify),
+    ("audit", "evaluate the relation catalog on every row", _audit_arguments, cmd_audit),
+    ("census", "count evens, odds, and primes per row", _census_arguments, cmd_census),
+    ("dc", "minimal prime-summand count for one target", _dc_arguments, cmd_dc),
+    ("sieve", "sieve one segment and report its primes", _sieve_arguments, cmd_sieve),
+    ("partition", "split a range into equal-width rows", _partition_arguments, cmd_partition),
+)
+
+
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser that adds its arguments when it first parses, so
+    a call builds the arguments of the subcommand it invokes and no other's."""
+
+    def __init__(self, *, arguments: Callable[[argparse.ArgumentParser], None], **kwargs) -> None:
+        super().__init__(**kwargs)
+        self._arguments = arguments
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._arguments is not None:
+            self._arguments(self)
+            self._arguments = None
+        return super().parse_known_args(args, namespace)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="goldbach-lab",
+        description="Verify two-prime decompositions and audit row relation sets.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
+    for name, help_text, arguments, func in _COMMANDS:
+        sub.add_parser(name, help=help_text, arguments=arguments).set_defaults(func=func)
     return parser
 
 

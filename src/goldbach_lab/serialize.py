@@ -7,11 +7,8 @@ belongs to the text rendering and stderr only).
 
 from __future__ import annotations
 
-import csv
-import io
 import json
-from functools import cache
-from typing import Any, Iterator, Union
+from typing import Any, Callable, Iterator, Union
 
 from . import __version__ as TOOL_VERSION
 from .audit import _DC_VALUE, RangeAudit, RelationCheck
@@ -46,6 +43,25 @@ def _entries(evens: range, pieces: list[str], sep: str = "") -> Iterator[str]:
     for i in range(0, len(evens), _EVENS_PER_CHUNK):
         part = evens[i : i + _EVENS_PER_CHUNK]
         yield (sep if i else "") + sep.join([str(a).join(pieces) for a in part])
+
+
+def _per_object(render: Callable[..., Any]) -> Callable[..., Any]:
+    """render, called once per distinct tuple of argument objects.
+
+    An audit holds one census object and one checks tuple per distinct census,
+    so identity finds every repeat; a key by value would hash every check of
+    every row in Python.  The audit being rendered keeps each argument alive,
+    so no id is reused while the memo is in use.
+    """
+    memo: dict[tuple[int, ...], Any] = {}
+
+    def cached(*args: Any) -> Any:
+        key = tuple(map(id, args))
+        if key not in memo:
+            memo[key] = render(*args)
+        return memo[key]
+
+    return cached
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +116,7 @@ def audit_json(result: RangeAudit, parameters: dict[str, Any]) -> Iterator[str]:
     Each distinct (census, row checks, even checks) key renders its row
     template once; each per-even entry is then prefix + str(A) + suffix.
     """
-    template = cache(_row_template)
+    template = _per_object(_row_template)
     yield (
         f'{{\n  "command": "audit",\n  "parameters": {_dumps(parameters, 1)},\n'
         '  "payload": {\n    "rows": ['
@@ -173,32 +189,36 @@ def _cell(value: Union[int, float, bool, tuple[int, int]]) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-_CENSUS_COLUMNS = ["row_start", "row_end", "gamma_even", "gamma_odd", "gamma_prime", "m"]
-_CHECK_COLUMNS = ["relation_id", "lhs", "rhs", "holds"]
+_CENSUS_COLUMNS = "row_start,row_end,gamma_even,gamma_odd,gamma_prime,m"
+_CHECK_COLUMNS = "relation_id,lhs,rhs,holds"
 
 
-def _census_cells(row: Row, c: RowCensus) -> list[int]:
-    return [row.start, row.end, c.gamma_even, c.gamma_odd, c.gamma_prime, c.m]
-
-
-def _check_cells(check: RelationCheck) -> list[str]:
+def _check_line(check: RelationCheck) -> str:
     lhs, rhs = _cell(check.lhs_value), _cell(check.rhs_value)
-    return [check.relation_id, lhs, rhs, _cell(check.holds)]
+    return f"{check.relation_id},{lhs},{rhs},{_cell(check.holds)}\n"
+
+
+def _row_check_pieces(census: RowCensus, checks: tuple[RelationCheck, ...]) -> list[str]:
+    """A row's check lines as the pieces its "row_start,row_end" joins."""
+    cells = f",{census.gamma_even},{census.gamma_odd},{census.gamma_prime},{census.m},"
+    return ["", *(cells + _check_line(c) for c in checks)]
 
 
 def audit_csv(result: RangeAudit) -> Iterator[str]:
-    """Two flat tables: per-row checks, a blank line, then per-A checks."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CENSUS_COLUMNS + _CHECK_COLUMNS)
+    """Two flat tables: per-row checks, a blank line, then per-A checks.
+
+    No cell needs quoting, so every line is a plain join.  The text after a
+    row's row_start,row_end renders once per distinct (census, row checks) key,
+    and the text after an even's row_start,A once per distinct even-check list;
+    each row or even then adds only its own prefix.
+    """
+    yield f"{_CENSUS_COLUMNS},{_CHECK_COLUMNS}\n"
+    row_pieces = _per_object(_row_check_pieces)
     for report in result.reports:
-        cells = _census_cells(report.row, report.census)
-        writer.writerows(cells + _check_cells(check) for check in report.row_checks)
-    buf.write("\n")
-    writer.writerow(["row_start", "A", "dc_value"] + _CHECK_COLUMNS)
-    yield buf.getvalue()
-    # no per-even cell needs quoting, so each check list's line tails render once
-    tails = cache(lambda checks: [f",{_DC_VALUE},{','.join(_check_cells(c))}\n" for c in checks])
+        pieces = row_pieces(report.census, report.row_checks)
+        yield f"{report.row.start},{report.row.end}".join(pieces)
+    yield f"\nrow_start,A,dc_value,{_CHECK_COLUMNS}\n"
+    tails = _per_object(lambda checks: [f",{_DC_VALUE},{_check_line(c)}" for c in checks])
     for report in result.reports:
         lines = tails(report.even_checks)
         if lines:  # each even's lines are start + A + a tail
@@ -208,11 +228,11 @@ def audit_csv(result: RangeAudit) -> Iterator[str]:
 
 
 def census_csv(items: list[tuple[Row, RowCensus]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CENSUS_COLUMNS)
-    writer.writerows(_census_cells(row, c) for row, c in items)
-    return buf.getvalue()
+    lines = [
+        f"{row.start},{row.end},{c.gamma_even},{c.gamma_odd},{c.gamma_prime},{c.m}\n"
+        for row, c in items
+    ]
+    return f"{_CENSUS_COLUMNS}\n" + "".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -231,16 +251,18 @@ def _failing_note(checks: tuple[RelationCheck, ...]) -> str:
     return f" failing: {', '.join(failing)}" if failing else ""
 
 
+def _row_check_text(checks: tuple[RelationCheck, ...]) -> str:
+    return "".join(
+        f"  {c.relation_id}: lhs={_cell(c.lhs_value)} rhs={_cell(c.rhs_value)} "
+        f"holds={_cell(c.holds)}\n"
+        for c in checks
+    )
+
+
 def audit_text(result: RangeAudit) -> Iterator[str]:
-    notes = cache(_failing_note)
+    check_text, notes = _per_object(_row_check_text), _per_object(_failing_note)
     for report in result.reports:
-        lines = [_census_line(report.row, report.census)]
-        for check in report.row_checks:
-            lines.append(
-                f"  {check.relation_id}: lhs={_cell(check.lhs_value)} "
-                f"rhs={_cell(check.rhs_value)} holds={_cell(check.holds)}"
-            )
-        yield "\n".join(lines) + "\n"
+        yield _census_line(report.row, report.census) + "\n" + check_text(report.row_checks)
         note = notes(report.even_checks)
         yield from _entries(report.evens, ["  A=", f" dc={_DC_VALUE}{note}\n"])
     yield "summary (held/failed):\n"

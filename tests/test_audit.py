@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import multiprocessing
 import os
@@ -19,6 +20,7 @@ from goldbach_lab.audit import (
     audit_row,
     implication_eval,
 )
+from goldbach_lab.census import census_range
 from goldbach_lab.cli import main
 from goldbach_lab.dc import dc_oracle_table
 from goldbach_lab.errors import GoldbachCounterexample
@@ -212,10 +214,10 @@ class TestAuditRange:
             audit_range(Range(1, 100), 7)
 
 
-def naive_summary(result):
+def naive_summary(reports):
     """Held/failed counts recounted check by check, in catalog order."""
     counts = {}
-    for report in result.reports:
+    for report in reports:
         checks = list(report.row_checks)
         for even in report.per_even:
             checks.extend(even.checks)
@@ -237,6 +239,15 @@ def patched_dc_min(monkeypatch, target):
     monkeypatch.setattr(sweep, "dc_min", dc_min)
 
 
+def csv_writer_text(header, rows):
+    """One CSV table as csv.writer writes it, the reference for the hand-joined lines."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 class TestAggregation:
     @pytest.mark.parametrize("workers", [1, 2])
     @settings(max_examples=15, deadline=None)
@@ -245,14 +256,20 @@ class TestAggregation:
         width=st.integers(1, 40),
         rows=st.integers(1, 6),
         relations=st.none() | st.sets(st.sampled_from(ALL_RELATIONS)).map(sorted),
+        other=st.sets(st.sampled_from(ALL_RELATIONS)).map(sorted),
     )
-    def test_summary_equals_naive_recount(self, workers, start, width, rows, relations):
-        result = audit_range(
-            Range(start, start + width * rows - 1), width, relations, workers=workers
-        )
-        summary = naive_summary(result)
+    def test_summary_equals_naive_recount(self, workers, start, width, rows, relations, other):
+        rng = Range(start, start + width * rows - 1)
+        result = audit_range(rng, width, relations, workers=workers)
+        summary = naive_summary(result.reports)
         assert result.summary == summary
         assert list(result.summary) == list(summary)
+        # two audits with different filters: equal censuses, different checks tuples
+        mixed = [r for pair in zip(result.reports, audit_range(rng, width, other).reports)
+                 for r in pair]
+        summary = naive_summary(mixed)
+        assert audit.summarize(mixed) == summary
+        assert list(audit.summarize(mixed)) == list(summary)
 
     def test_dc_values_exact_when_the_fallback_runs(self, monkeypatch):
         # with 3 as the only pair prime, most evens reach the sweep's fallback
@@ -289,6 +306,32 @@ class TestAggregation:
         assert blocks == [(4, 2000)]
         audit_row(Row(10**12 + 1, 10**12 + 100))
         assert blocks[1:] == [(10**12 + 2, 10**12 + 100)]
+
+    def test_relations_evaluated_once_per_distinct_census(self, monkeypatch):
+        calls = {"row": 0, "even": 0}
+
+        def counted(kind, real):
+            def evaluate(*args):
+                calls[kind] += 1
+                return real(*args)
+
+            return evaluate
+
+        monkeypatch.setattr(
+            audit, "evaluate_row_relations", counted("row", audit.evaluate_row_relations)
+        )
+        monkeypatch.setattr(
+            audit, "evaluate_even_relations", counted("even", audit.evaluate_even_relations)
+        )
+        result = audit_range(Range(1, 10**4), 100)
+        first = {}
+        for report in result.reports:
+            shared = first.setdefault(report.census, report)
+            assert report.census is shared.census
+            assert report.row_checks is shared.row_checks
+            assert report.even_checks is shared.even_checks
+        assert calls == {"row": len(first), "even": len(first)}
+        assert len(first) < len(result.reports) == 100
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_evens_with_one_key_share_one_checks_tuple(self, workers):
@@ -338,6 +381,39 @@ class TestAggregation:
         payload = {"rows": docs, "verdict_summary": result.summary}
         expected = serialize.to_json("audit", params, payload)
         assert "".join(serialize.audit_json(result, params)) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        start=st.integers(1, 10**5),
+        width=st.integers(1, 40),
+        rows=st.integers(1, 6),
+        relations=st.none() | st.sets(st.sampled_from(ALL_RELATIONS)).map(sorted),
+    )
+    def test_csv_lines_match_the_csv_writer(self, start, width, rows, relations):
+        rng = Range(start, start + width * rows - 1)
+        result = audit_range(rng, width, relations)
+        cell = serialize._cell
+        census = ["row_start", "row_end", "gamma_even", "gamma_odd", "gamma_prime", "m"]
+        check = ["relation_id", "lhs", "rhs", "holds"]
+
+        def cells(c):
+            return [c.relation_id, cell(c.lhs_value), cell(c.rhs_value), cell(c.holds)]
+
+        def counts(c):
+            return [c.gamma_even, c.gamma_odd, c.gamma_prime, c.m]
+
+        row_table = csv_writer_text(census + check, [
+            [r.row.start, r.row.end, *counts(r.census), *cells(c)]
+            for r in result.reports for c in r.row_checks
+        ])
+        even_table = csv_writer_text(["row_start", "A", "dc_value"] + check, [
+            [r.row.start, e.target, e.dc_value, *cells(c)]
+            for r in result.reports for e in r.per_even for c in e.checks
+        ])
+        assert "".join(serialize.audit_csv(result)) == row_table + "\n" + even_table
+        items = census_range(rng, width)
+        expected = csv_writer_text(census, [[row.start, row.end, *counts(c)] for row, c in items])
+        assert serialize.census_csv(items) == expected
 
 
 def peak_kib_of_audit(tmp_path, fmt):

@@ -300,6 +300,23 @@ class TestEmit:
         assert out.writes == ["one string\n" * 1000]
 
 
+class TestParser:
+    @pytest.mark.parametrize(
+        "argv",
+        [["dc", "8"], ["audit", "--from", "1", "--to", "10", "--row-width", "5"],
+         ["partition", "--from", "1", "--to", "10", "--row-width", "5"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_only_the_invoked_subcommand_gets_arguments(self, argv, monkeypatch, capsys):
+        built = []  # every subcommand adds --format and --output through _add_common
+        real = cli._add_common
+        monkeypatch.setattr(
+            cli, "_add_common", lambda p, **kw: built.append(p.prog) or real(p, **kw)
+        )
+        assert main(argv) == 0
+        assert built == [f"goldbach-lab {argv[0]}"]
+
+
 class TestInstalledEntryPoint:
     def test_console_script_end_to_end(self, tmp_path):
         proc = subprocess.run(

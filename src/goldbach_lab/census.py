@@ -34,16 +34,16 @@ def census_range(rng: Range, width: int) -> list[tuple[Row, RowCensus]]:
     """Census every partition row of a range, in ascending order.
 
     Parity counts come from endpoint arithmetic.  Primes come from one walk
-    of sieve segments over the range: each row adds the primes of
-    every segment it overlaps, so a row may span several segments.
+    of sieve segments over the range, counted on the sieve core's digit
+    per odd (``primes.iter_segments``): each row adds the primes of every
+    segment it overlaps, so a row may span several segments.
     """
     rows = partition_rows(rng, width)
     n_primes = [0] * len(rows)
     for seg in iter_segments(rng.start, rng.end):
         for i in range((seg.lo - rng.start) // width, (seg.hi - rng.start) // width + 1):
             lo = rng.start + i * width
-            a, b = max(lo, seg.lo), min(lo + width - 1, seg.hi)
-            n_primes[i] += seg.flags.count(1, a - seg.lo, b - seg.lo + 1)
+            n_primes[i] += seg.count(max(lo, seg.lo), min(lo + width - 1, seg.hi))
     out = []
     for row, primes in zip(rows, n_primes):
         evens = _evens_between(row.start, row.end)

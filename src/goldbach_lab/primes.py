@@ -5,10 +5,22 @@ deterministic for all n < 2**64, and interval queries come from a segmented
 sieve of Eratosthenes with odd-only marking.  No probabilistic verdicts.
 
 The segmented sieve has one core, ``_odd_digits``: one ASCII digit per odd
-integer, ``1`` for not prime, which the sweep reads with ``int(..., 2)`` and
-``sieve_segment`` translates into flags.  Strikes assign a repeated 1-byte
-bytearray, because CPython first copies any other right-hand side of an
-extended-slice assignment into a temporary bytearray.
+integer, ``1`` for not prime.  The sweep reads the digits with
+``int(..., 2)``, ``prime_count``, ``nth_prime`` and the census count the
+``0`` digits of ``iter_segments``' segments, and ``sieve_segment`` alone
+translates them into per-integer flags.
+
+Past 13 the core starts from the strikes of the wheel primes 3, 5, 7, 11
+and 13, which repeat every 15015 odds: one cached pattern, rotated to the
+window and repeated (the pre-sieve of primesieve, Walisch,
+https://github.com/kimwalisch/primesieve).  The other base primes strike
+in three loops split by bisection, so that none tests a condition per
+prime: primes below the square root of the window's first odd that are at
+most its number of odds, which always strike; larger such primes, which
+strike at most once; and primes whose square is in the window, which
+strike from it.  Strikes assign a repeated 1-byte bytearray, prebuilt for
+the short runs, because CPython first copies any other right-hand side of
+an extended-slice assignment into a temporary bytearray.
 """
 
 from __future__ import annotations
@@ -35,6 +47,11 @@ _MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 _TINY_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _COMPOSITE = bytearray(b"1")  # the core's not-prime digit; repeated, it strikes a run
+_COMPOSITE_DIGIT = _COMPOSITE[0]  # the same digit, as an int, to strike one byte
+_SHORT_RUN = 64  # strike runs shorter than this are built once, here
+_RUNS = tuple(_COMPOSITE * k for k in range(_SHORT_RUN))
+_WHEEL_PRIMES = (3, 5, 7, 11, 13)  # struck by one repeating pattern, not one by one
+_WHEEL = 3 * 5 * 7 * 11 * 13  # the pattern's period, in odds
 _CLEAR = bytearray(1)  # base_primes' not-prime flag, repeated the same way
 _PRIME_FLAGS = bytes.maketrans(b"01", b"\1\0")  # core digits -> PrimeSegment flags
 
@@ -87,24 +104,58 @@ def base_primes(limit: int) -> tuple[int, ...]:
     return (2,) + tuple(compress(range(1, limit + 1, 2), odd))
 
 
+def _wheel_digits() -> bytes:
+    """The core's digits for the odds 1, 3, ..., 2 * _WHEEL - 1 with only the
+    wheel primes struck, themselves included; they repeat every _WHEEL odds."""
+    digits = bytearray(b"0") * _WHEEL
+    for p in _WHEEL_PRIMES:
+        digits[p >> 1 :: p] = _COMPOSITE * ((_WHEEL - 1 - (p >> 1)) // p + 1)
+    return bytes(digits)
+
+
+_WHEEL_DIGITS = _wheel_digits()
+
+
 def _odd_digits(first_odd: int, hi: int) -> bytearray:
     """One ASCII digit per odd n in [first_odd, hi], ascending: ``1`` when n
     is not prime, ``0`` when it is.  The package's one segment sieve."""
     if hi >= _WORD_LIMIT:  # the base-prime table alone would need 4 GiB
         raise OutOfBounds(f"sieve domain is [1, 2**64): got hi = {hi}")
     n_odd = (hi - first_odd) // 2 + 1
-    digits = bytearray(b"0") * n_odd
-    if first_odd == 1:
-        digits[0:1] = _COMPOSITE
-    # Rounding the table size up lets every segment of a sweep share one
-    # cached table; the bisect keeps the extra primes, and 2, out of the loop.
-    table = base_primes(-(-isqrt(hi) // _BASE_TABLE_STEP) * _BASE_TABLE_STEP)
     h = first_odd >> 1  # digit index of an odd n is (n >> 1) - h
-    for p in islice(table, 1, bisect_right(table, isqrt(hi))):
-        # first odd multiple of p to strike: p*p, or the first at or past first_odd
-        i = (p * p >> 1) - h if p * p >= first_odd else ((p >> 1) - h) % p
-        if i < n_odd:  # large primes often miss a short segment altogether
-            digits[i::p] = _COMPOSITE * ((n_odd - 1 - i) // p + 1)
+    if first_odd > _WHEEL_PRIMES[-1]:  # no wheel prime is in the window
+        r = h % _WHEEL
+        digits = bytearray(_WHEEL_DIGITS[r:] + _WHEEL_DIGITS[:r]) * (n_odd // _WHEEL + 1)
+        del digits[n_odd:]
+        start = len(_WHEEL_PRIMES) + 1  # table index of the first prime past the wheel
+    else:
+        digits = bytearray(b"0") * n_odd
+        if first_odd == 1:
+            digits[0:1] = _COMPOSITE
+        start = 1
+    # Rounding the table size up lets every segment of a sweep share one
+    # cached table; the bisects keep the extra primes, and 2, out of the loops.
+    table = base_primes(-(-isqrt(hi) // _BASE_TABLE_STEP) * _BASE_TABLE_STEP)
+    top = bisect_right(table, isqrt(hi))
+    squares_in = bisect_right(table, isqrt(first_odd - 1), start, top)
+    may_miss = bisect_right(table, n_odd, start, squares_in)
+    # Three loops, so that none tests a condition per prime.  Below
+    # squares_in, p * p < first_odd and the first strike is the first odd
+    # multiple of p at or past first_odd; from may_miss on, p > n_odd, so p
+    # strikes at most once and may miss the window.  From squares_in on,
+    # the first strike is p * p, which is at most hi.
+    for p in islice(table, start, may_miss):
+        i = ((p >> 1) - h) % p
+        k = (n_odd - 1 - i) // p + 1
+        digits[i::p] = _RUNS[k] if k < _SHORT_RUN else _COMPOSITE * k
+    for p in islice(table, may_miss, squares_in):
+        i = ((p >> 1) - h) % p
+        if i < n_odd:
+            digits[i] = _COMPOSITE_DIGIT
+    for p in islice(table, squares_in, top):
+        i = (p * p >> 1) - h
+        k = (n_odd - 1 - i) // p + 1
+        digits[i::p] = _RUNS[k] if k < _SHORT_RUN else _COMPOSITE * k
     return digits
 
 
@@ -160,14 +211,30 @@ def sieve_segment(lo: int, hi: int) -> PrimeSegment:
     return PrimeSegment(lo, hi, bytes(flags))
 
 
-def iter_segments(lo: int, hi: int, *, cap: int = SEGMENT_CAP) -> Iterator[PrimeSegment]:
+class _OddSegment:
+    """[lo, hi] as the core's digits for its odds; counts without flags."""
+
+    __slots__ = ("lo", "hi", "digits")
+
+    def __init__(self, lo: int, hi: int, digits: bytearray) -> None:
+        self.lo, self.hi, self.digits = lo, hi, digits
+
+    def count(self, a: int | None = None, b: int | None = None) -> int:
+        """Number of primes in [a, b], within the segment; all by default."""
+        a = self.lo if a is None else a
+        b = self.hi if b is None else b
+        h = self.lo >> 1  # the digit of an odd n is (n >> 1) - h
+        return self.digits.count(b"0", (a >> 1) - h, ((b + 1) >> 1) - h) + (a <= 2 <= b)
+
+
+def iter_segments(lo: int, hi: int, *, cap: int = SEGMENT_CAP) -> Iterator[_OddSegment]:
     """Yield consecutive cap-sized segments covering [lo, hi]."""
     if lo < 1 or lo > hi:
         raise InvalidInterval(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
     start = lo
     while start <= hi:
         end = min(start + cap - 1, hi)
-        yield sieve_segment(start, end)
+        yield _OddSegment(start, end, _odd_digits(start | 1, end))
         start = end + 1
 
 
@@ -197,10 +264,14 @@ def nth_prime(x: int) -> int:
         if remaining > in_seg:
             remaining -= in_seg
             continue
+        if seg.lo <= 2 <= seg.hi:  # 2 comes before the odd primes of the digits
+            if remaining == 1:
+                return 2
+            remaining -= 1
         pos = -1
         for _ in range(remaining):
-            pos = seg.flags.index(1, pos + 1)
-        return seg.lo + pos
+            pos = seg.digits.index(b"0", pos + 1)
+        return (seg.lo | 1) + 2 * pos
     raise OutOfBounds(f"bound {bound} did not reach prime #{x}")
 
 

@@ -1,12 +1,18 @@
 import functools
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import goldbach_lab
 from goldbach_lab import census, primes
 from goldbach_lab.audit import audit_range
 from goldbach_lab.census import RowCensus, census_range, census_row
-from goldbach_lab.primes import prime_count
+from goldbach_lab.primes import is_prime, prime_count, sieve_segment
 from goldbach_lab.rowrange import Range, Row
 
 from oracles import trial_is_prime
@@ -119,3 +125,55 @@ class TestCensusRange:
         rng = Range(start, start + width * count - 1)
         items = census_range(rng, width)
         assert sum(c.gamma_prime for _, c in items) == prime_count(rng.start, rng.end)
+
+
+def seeded_censuses(seed):
+    """(range, width) pairs from 1 and from 2, and seeded ones near 10^4."""
+    yield Range(1, 2), 1
+    yield Range(1, 300), 12
+    yield Range(2, 301), 10
+    rng = random.Random(seed)
+    for _ in range(4):
+        width = rng.randint(1, 40)
+        start = 10**4 + rng.randrange(1000)
+        yield Range(start, start + width * rng.randint(1, 12) - 1), width
+
+
+class TestCensusOnTheCoreDigits:
+    # caps 1, 7 and 64 put segment edges inside rows and on row edges
+    @pytest.mark.parametrize("cap", [1, 7, 64, None], ids=["cap1", "cap7", "cap64", "default"])
+    @pytest.mark.parametrize("rng, width", list(seeded_censuses(14)))
+    def test_row_primes_match_point_tests(self, rng, width, cap, monkeypatch):
+        if cap is not None:
+            monkeypatch.setattr(census, "iter_segments", functools.partial(primes.iter_segments, cap=cap))
+        for row, c in census_range(rng, width):
+            expected = sum(is_prime(n) for n in range(row.start, row.end + 1))
+            assert c.gamma_prime == expected == sieve_segment(row.start, row.end).count()
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"), reason="needs VmHWM from procfs"
+    )
+    def test_peak_memory_near_1e12(self, tmp_path):
+        # one segment of 10^7 integers counted on the digits of its odds peaks near
+        # 26 MiB; building per-integer flags for the count took it to about 40 MiB
+        lo = 10**12 + 1
+        hi = lo + 10**7 - 1
+        code = (
+            "import sys\n"
+            "from goldbach_lab.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "with open('/proc/self/status') as fh:\n"
+            "    print(next(l for l in fh if l.startswith('VmHWM:')).split()[1])\n"
+        )
+        src = str(Path(goldbach_lab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / "census.csv"
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "census", "--from", str(lo), "--to", str(hi),
+             "--row-width", "10000", "--format", "csv", "--output", str(out)],
+            capture_output=True, text=True, env=env, timeout=300, check=True,
+        )
+        assert len(out.read_text().splitlines()) == 1 + 1000
+        peak_kib = int(proc.stdout.split()[-1])
+        assert peak_kib < 34 * 1024, f"peak RSS {peak_kib} KiB"

@@ -1,8 +1,10 @@
+import functools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from goldbach_lab import primes
 from goldbach_lab.errors import InvalidInterval, OutOfBounds, SegmentTooLarge
 from goldbach_lab.primes import (
     SEGMENT_CAP,
@@ -125,6 +127,22 @@ def odd_windows():
         rng = random.Random(magnitude)
         first_odd = (magnitude + rng.randrange(10**6)) | 1
         yield first_odd, first_odd + 2000
+    for p in (11, 13):  # the wheel's own primes stay prime when the window holds them
+        yield p, p
+        yield p, p + 400
+    yield 15, 15 + 400  # the first windows the wheel pre-strikes
+    yield 17, 17 + 400
+    wheel = 15015  # the wheel repeats every 3 * 5 * 7 * 11 * 13 odds
+    yield 10**9 + 1, 10**9 + 1 + 2 * 300  # shorter than one period
+    yield 10**9 + 1, 10**9 + 1 + 2 * (3 * wheel + 77)  # several periods
+    rng = random.Random(wheel)
+    base = 10**12 // (2 * wheel) * (2 * wheel)
+    for residue in [0, wheel - 1] + [rng.randrange(wheel) for _ in range(4)]:
+        first_odd = base + 2 * residue + 1  # (first_odd >> 1) % wheel == residue
+        yield first_odd, first_odd + 2 * rng.randrange(1, 2 * wheel)
+    for _ in range(3):  # most base primes exceed these few odds, and most miss
+        first_odd = (10**12 + rng.randrange(10**6)) | 1
+        yield first_odd, first_odd + 2 * rng.randrange(40)
 
 
 class TestOddDigits:
@@ -140,6 +158,47 @@ class TestOddDigits:
     def test_refused_from_two_to_the_64(self):
         with pytest.raises(OutOfBounds, match=r"2\*\*64"):
             _odd_digits((1 << 64) + 1, (1 << 64) + 10)  # refused before allocating
+
+
+def seeded_ranges(seed, near, span):
+    """Seeded ranges near `near`, each up to `span` long."""
+    rng = random.Random(seed)
+    for _ in range(4):
+        lo = near + rng.randrange(1000)
+        yield lo, lo + rng.randrange(span)
+
+
+@pytest.fixture(params=[1, 2, 7, 64], ids=lambda cap: f"cap{cap}")
+def small_segments(request, monkeypatch):
+    """prime_count and nth_prime walk segments of a small cap, so segment
+    edges fall inside every range they count."""
+    walk = functools.partial(primes.iter_segments, cap=request.param)
+    monkeypatch.setattr(primes, "iter_segments", walk)
+
+
+class TestCountsOnTheCoreDigits:
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(1, 1), (1, 2), (2, 2), (1, 401), (2, 97),
+         *seeded_ranges(14, 10**4, 400), *seeded_ranges(15, 10**12, 60)],
+    )
+    def test_prime_count(self, small_segments, lo, hi):
+        expected = sum(is_prime(n) for n in range(lo, hi + 1))
+        assert prime_count(lo, hi) == expected == sieve_segment(lo, hi).count()
+
+    def test_nth_prime(self, small_segments):
+        listed = [n for n in range(1, 400) if is_prime(n)]
+        assert [nth_prime(x) for x in range(1, len(listed) + 1)] == listed
+
+    def test_segment_counts_its_subranges(self):
+        rng = random.Random(16)
+        for lo in (1, 2, 3, 10**12 + rng.randrange(1000)):
+            hi = lo + 300
+            (seg,) = iter_segments(lo, hi)
+            for _ in range(50):
+                a = rng.randint(lo, hi)
+                b = rng.randint(a, hi)
+                assert seg.count(a, b) == sieve_segment(a, b).count()
 
 
 class TestBasePrimes:

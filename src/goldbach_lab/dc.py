@@ -169,9 +169,8 @@ def goldbach_pairs(target: int) -> list[tuple[int, int]]:
     if target > PAIR_CAP:
         raise AboveEnumerationCap(f"target {target} exceeds listing cap {PAIR_CAP}")
     seg = sieve_segment(1, target - 1)
-    flags = seg.flags
     return [
         (p, target - p)
         for p in seg.restrict(1, target // 2).primes()
-        if flags[target - p - 1]
+        if seg.is_prime_at(target - p)
     ]

@@ -6,9 +6,9 @@ sieve of Eratosthenes with odd-only marking.  No probabilistic verdicts.
 
 The segmented sieve has one core, ``_odd_digits``: one ASCII digit per odd
 integer, ``1`` for not prime.  The sweep reads the digits with
-``int(..., 2)``, ``prime_count``, ``nth_prime`` and the census count the
-``0`` digits of ``iter_segments``' segments, and ``sieve_segment`` alone
-translates them into per-integer flags.
+``int(..., 2)``; everything else reads them through ``PrimeSegment``, the
+one segment type, which holds them as they are and counts, tests and lists
+primes on them.
 
 Past 13 the core starts from the strikes of the wheel primes 3, 5, 7, 11
 and 13, which repeat every 15015 odds: one cached pattern, rotated to the
@@ -39,7 +39,7 @@ NTH_PRIME_LIMIT = 1 << 32  # largest value nth_prime will sieve toward
 
 _WORD_LIMIT = 1 << 64
 _BASE_TABLE_STEP = 1 << 16  # base-prime tables are built in multiples of this
-_PRIME_CHUNK = 1 << 16  # integers iter_primes sieves at a time
+_PRIME_CHUNK = 1 << 16  # integers iter_primes sieves, and nth_prime counts, at a time
 
 # Sinclair's bases: Miller-Rabin with these is exact for every n < 2**64.
 _MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
@@ -53,7 +53,7 @@ _RUNS = tuple(_COMPOSITE * k for k in range(_SHORT_RUN))
 _WHEEL_PRIMES = (3, 5, 7, 11, 13)  # struck by one repeating pattern, not one by one
 _WHEEL = 3 * 5 * 7 * 11 * 13  # the pattern's period, in odds
 _CLEAR = bytearray(1)  # base_primes' not-prime flag, repeated the same way
-_PRIME_FLAGS = bytes.maketrans(b"01", b"\1\0")  # core digits -> PrimeSegment flags
+_PRIME_FLAGS = bytes.maketrans(b"01", b"\1\0")  # core digits -> primes() selectors
 
 
 def is_prime(n: int) -> bool:
@@ -161,80 +161,69 @@ def _odd_digits(first_odd: int, hi: int) -> bytearray:
 
 @dataclass(frozen=True)
 class PrimeSegment:
-    """Primality table for a closed interval [lo, hi], one flag per integer.
+    """The primes of a closed interval [lo, hi], as the sieve core's digits.
 
-    flags[k] is 1 exactly when lo + k is prime.  The table is immutable, so
-    a segment can be shared freely between workers.
+    digits[k] is ``0`` exactly when the k-th odd of [lo, hi], (lo | 1) + 2k,
+    is prime, and ``1`` when it is not; 2 is the one even prime.  Nothing
+    builds per-integer flags.  ``sieve_segment`` returns immutable digits,
+    so its segments can be shared freely between workers.  The segments of
+    ``iter_segments`` share the core's bytearray without a copy: do not
+    mutate or hash them.
     """
 
     lo: int
     hi: int
-    flags: bytes
+    digits: bytes
 
-    def is_prime_at(self, n: int) -> bool:
-        if not self.lo <= n <= self.hi:
-            raise InvalidInterval(f"{n} outside segment [{self.lo}, {self.hi}]")
-        return bool(self.flags[n - self.lo])
-
-    def count(self) -> int:
-        """Number of primes in the segment."""
-        return self.flags.count(1)
-
-    def primes(self) -> list[int]:
-        return list(compress(range(self.lo, self.hi + 1), self.flags))
-
-    def restrict(self, lo: int, hi: int) -> PrimeSegment:
-        """Sub-segment; equal to sieving [lo, hi] directly."""
+    def _odds(self, lo: int, hi: int) -> tuple[int, int]:
+        """Slice bounds of the digits of the odds of [lo, hi], within the segment."""
         if not (self.lo <= lo <= hi <= self.hi):
             raise InvalidInterval(
                 f"[{lo}, {hi}] not contained in [{self.lo}, {self.hi}]"
             )
-        return PrimeSegment(lo, hi, self.flags[lo - self.lo : hi - self.lo + 1])
+        h = self.lo >> 1  # the digit of an odd n is (n >> 1) - h
+        return (lo >> 1) - h, ((hi + 1) >> 1) - h
 
-
-def sieve_segment(lo: int, hi: int) -> PrimeSegment:
-    """Sieve the closed interval [lo, hi], where 1 <= lo <= hi < 2**64.
-
-    Only odd positions are sieved; even positions other than 2 are
-    composite by construction.
-    """
-    if lo < 1 or lo > hi:
-        raise InvalidInterval(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
-    span = hi - lo + 1
-    if span > SEGMENT_CAP:
-        raise SegmentTooLarge(f"span {span} exceeds cap {SEGMENT_CAP}")
-    flags = bytearray(span)
-    if lo <= 2 <= hi:
-        flags[2 - lo] = 1
-    first_odd = lo | 1
-    flags[first_odd - lo :: 2] = _odd_digits(first_odd, hi).translate(_PRIME_FLAGS)
-    return PrimeSegment(lo, hi, bytes(flags))
-
-
-class _OddSegment:
-    """[lo, hi] as the core's digits for its odds; counts without flags."""
-
-    __slots__ = ("lo", "hi", "digits")
-
-    def __init__(self, lo: int, hi: int, digits: bytearray) -> None:
-        self.lo, self.hi, self.digits = lo, hi, digits
+    def is_prime_at(self, n: int) -> bool:
+        i, _ = self._odds(n, n)
+        return self.digits[i] != _COMPOSITE_DIGIT if n & 1 else n == 2
 
     def count(self, a: int | None = None, b: int | None = None) -> int:
         """Number of primes in [a, b], within the segment; all by default."""
         a = self.lo if a is None else a
         b = self.hi if b is None else b
-        h = self.lo >> 1  # the digit of an odd n is (n >> 1) - h
-        return self.digits.count(b"0", (a >> 1) - h, ((b + 1) >> 1) - h) + (a <= 2 <= b)
+        start, end = self._odds(a, b)
+        return self.digits.count(b"0", start, end) + (a <= 2 <= b)
+
+    def primes(self) -> list[int]:
+        odd = compress(range(self.lo | 1, self.hi + 1, 2), self.digits.translate(_PRIME_FLAGS))
+        return [2, *odd] if self.lo <= 2 <= self.hi else list(odd)
+
+    def restrict(self, lo: int, hi: int) -> PrimeSegment:
+        """Sub-segment; equal to sieving [lo, hi] directly."""
+        start, end = self._odds(lo, hi)
+        return PrimeSegment(lo, hi, self.digits[start:end])
 
 
-def iter_segments(lo: int, hi: int, *, cap: int = SEGMENT_CAP) -> Iterator[_OddSegment]:
-    """Yield consecutive cap-sized segments covering [lo, hi]."""
+def sieve_segment(lo: int, hi: int) -> PrimeSegment:
+    """Sieve the closed interval [lo, hi], where 1 <= lo <= hi < 2**64."""
+    if lo < 1 or lo > hi:
+        raise InvalidInterval(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
+    span = hi - lo + 1
+    if span > SEGMENT_CAP:
+        raise SegmentTooLarge(f"span {span} exceeds cap {SEGMENT_CAP}")
+    return PrimeSegment(lo, hi, bytes(_odd_digits(lo | 1, hi)))
+
+
+def iter_segments(lo: int, hi: int, *, cap: int = SEGMENT_CAP) -> Iterator[PrimeSegment]:
+    """Yield consecutive cap-sized segments covering [lo, hi]; each holds the
+    core's bytearray without a copy."""
     if lo < 1 or lo > hi:
         raise InvalidInterval(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
     start = lo
     while start <= hi:
         end = min(start + cap - 1, hi)
-        yield _OddSegment(start, end, _odd_digits(start | 1, end))
+        yield PrimeSegment(start, end, _odd_digits(start | 1, end))
         start = end + 1
 
 
@@ -260,18 +249,12 @@ def nth_prime(x: int) -> int:
         raise OutOfBounds(f"prime #{x} would need sieving past {NTH_PRIME_LIMIT}")
     remaining = x
     for seg in iter_segments(1, bound):
-        in_seg = seg.count()
-        if remaining > in_seg:
-            remaining -= in_seg
-            continue
-        if seg.lo <= 2 <= seg.hi:  # 2 comes before the odd primes of the digits
-            if remaining == 1:
-                return 2
-            remaining -= 1
-        pos = -1
-        for _ in range(remaining):
-            pos = seg.digits.index(b"0", pos + 1)
-        return (seg.lo | 1) + 2 * pos
+        for a in range(seg.lo, seg.hi + 1, _PRIME_CHUNK):
+            b = min(a + _PRIME_CHUNK - 1, seg.hi)
+            in_part = seg.count(a, b)
+            if remaining <= in_part:
+                return seg.restrict(a, b).primes()[remaining - 1]
+            remaining -= in_part
     raise OutOfBounds(f"bound {bound} did not reach prime #{x}")
 
 

@@ -197,8 +197,9 @@ def test_public_names_are_pinned():
     ]
 
 
-# str(inspect.signature(...)) of every public callable that has one: a new
-# keyword shows up here.  Exceptions that keep the built-in constructor have none.
+# str(inspect.signature(...)) of every public callable that has one, and of
+# every public PrimeSegment method: a new keyword shows up here.  Exceptions
+# that keep the built-in constructor have none.
 SIGNATURES = {
     "AuditReport": (
         "(row: 'Row', census: 'RowCensus', row_checks: 'tuple[RelationCheck, ...]', "
@@ -207,7 +208,11 @@ SIGNATURES = {
     "DcResult": "(target: 'int', value: 'int', witness: 'tuple[int, ...]') -> None",
     "EvenAudit": "(target: 'int', dc_value: 'int', checks: 'tuple[RelationCheck, ...]') -> None",
     "GoldbachCounterexample": '(target: int)',
-    "PrimeSegment": "(lo: 'int', hi: 'int', flags: 'bytes') -> None",
+    "PrimeSegment": "(lo: 'int', hi: 'int', digits: 'bytes') -> None",
+    "PrimeSegment.count": "(self, a: 'int | None' = None, b: 'int | None' = None) -> 'int'",
+    "PrimeSegment.is_prime_at": "(self, n: 'int') -> 'bool'",
+    "PrimeSegment.primes": "(self) -> 'list[int]'",
+    "PrimeSegment.restrict": "(self, lo: 'int', hi: 'int') -> 'PrimeSegment'",
     "Range": "(start: 'int', end: 'int') -> None",
     "RangeAudit": (
         "(reports: 'tuple[AuditReport, ...]', summary: 'dict[str, dict[str, int]]') -> None"
@@ -268,4 +273,7 @@ def test_public_signatures_are_pinned():
             found[name] = str(inspect.signature(getattr(goldbach_lab, name)))
         except (TypeError, ValueError):  # a constant, or a built-in exception constructor
             pass
+    for name, method in vars(goldbach_lab.PrimeSegment).items():
+        if inspect.isfunction(method) and not name.startswith("_"):
+            found[f"PrimeSegment.{name}"] = str(inspect.signature(method))
     assert found == SIGNATURES

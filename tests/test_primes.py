@@ -45,12 +45,16 @@ class TestSieveSegment:
         with pytest.raises(SegmentTooLarge):
             sieve_segment(1, SEGMENT_CAP + 1)  # refused before allocating
 
-    def test_flags_shape(self):
+    def test_digits_shape(self):
         seg = sieve_segment(5, 19)
-        assert len(seg.flags) == 15
-        assert seg.is_prime_at(5) and not seg.is_prime_at(6)
+        assert seg.digits == b"00100100"  # the odds 5, 7, ..., 19
+        assert seg.is_prime_at(5) is True and seg.is_prime_at(6) is False
         with pytest.raises(InvalidInterval):
             seg.is_prime_at(20)
+        with pytest.raises(InvalidInterval):
+            seg.count(3, 19)
+        with pytest.raises(InvalidInterval):
+            seg.restrict(5, 20)
 
     @settings(max_examples=100, deadline=None)
     @given(lo=st.integers(1, 10**4), span=st.integers(0, 400))
@@ -186,19 +190,44 @@ class TestCountsOnTheCoreDigits:
         expected = sum(is_prime(n) for n in range(lo, hi + 1))
         assert prime_count(lo, hi) == expected == sieve_segment(lo, hi).count()
 
-    def test_nth_prime(self, small_segments):
+    def test_nth_prime(self, small_segments, monkeypatch):
         listed = [n for n in range(1, 400) if is_prime(n)]
         assert [nth_prime(x) for x in range(1, len(listed) + 1)] == listed
+        # nth_prime counts each segment in chunks of _PRIME_CHUNK integers from
+        # its lo: chunks start at 65537 and 131073, and a cap of 10^5 puts a
+        # segment edge inside the second chunk
+        table = base_primes(140_000)
+        around = [
+            (x, p) for x, p in enumerate(table, 1)
+            if any(abs(p - edge) < 60 for edge in (65537, 100_001, 131073))
+        ]
+        assert 65537 in dict(around).values() and len(around) > 12
+        for cap in (SEGMENT_CAP, 10**5):
+            monkeypatch.setattr(primes, "iter_segments", functools.partial(iter_segments, cap=cap))
+            assert [nth_prime(x) for x, _ in around] == [p for _, p in around]
 
     def test_segment_counts_its_subranges(self):
         rng = random.Random(16)
-        for lo in (1, 2, 3, 10**12 + rng.randrange(1000)):
-            hi = lo + 300
+        even_lo = 10**12 + 2 * rng.randrange(500)
+        for lo, hi in ((1, 301), (2, 302), (3, 303), (4, 4), (even_lo, even_lo + 300),
+                       (10**12 + rng.randrange(1000), 10**12 + 1300)):
             (seg,) = iter_segments(lo, hi)
+            direct = sieve_segment(lo, hi)
+            assert seg == direct
+            span = range(lo, hi + 1)
+            assert seg.primes() == direct.primes() == [n for n in span if is_prime(n)]
+            flags = [seg.is_prime_at(n) for n in span]
+            assert flags == [is_prime(n) for n in span]
+            assert all(type(f) is bool for f in flags)
+            subranges = [(lo, lo), (hi, hi), (lo, hi)]
             for _ in range(50):
                 a = rng.randint(lo, hi)
-                b = rng.randint(a, hi)
-                assert seg.count(a, b) == sieve_segment(a, b).count()
+                subranges.append((a, rng.randint(a, hi)))
+            for a, b in subranges:
+                sub = sieve_segment(a, b)
+                assert seg.count(a, b) == sub.count()
+                assert seg.restrict(a, b) == sub
+                assert seg.restrict(a, b).primes() == sub.primes()
 
 
 class TestBasePrimes:

@@ -13,7 +13,7 @@ their detail text.
 
 An even A > 2 is not prime, so DC(A) = 2 exactly when some p + q = A.  The
 audit composes the other engines: ``census_range`` counts the rows, and one
-``sweep.run_verify`` over the range's evens (the only pooled step) finds
+``sweep.run_verify`` over the range's evens (the only parallel step) finds
 such a pair for each or raises.  So an audited even's ``dc_value`` is 2 and
 its checks depend on the census alone, as the row checks do.  ``audit_range``
 evaluates both once per distinct census, and the rows with that census share

@@ -17,17 +17,16 @@ sqrt(hi) once per block, so blocks sized to sqrt(hi) keep that walk from
 dominating at high magnitudes, and the cap bounds a block's memory.  The
 size depends on the sweep's last even alone, so the blocks, and with them
 the output, are the same at any worker count and after a resume.  Above
-one worker the blocks go to the package's only process pool.
+one worker, forked workers take the blocks round-robin and pipe each
+block's failures back, read in block order.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import time
 from dataclasses import astuple, dataclass
-from datetime import datetime, timezone
 from math import isqrt
 from typing import Iterator, Optional
 
@@ -41,6 +40,7 @@ DEFAULT_CHECKPOINT_STRIDE = 1 << 20  # evens between checkpoint writes
 CHECKPOINT_VERSION = 1
 
 _PAIR_PRIME_BOUND = 1 << 14  # small-prime budget before the exhaustive fallback
+_SIGKILL = 9  # fixed by POSIX, where os.fork exists; importing signal costs ~1 ms
 
 _INT_FIELDS = ("version", "from", "to", "last_verified")
 _STR_FIELDS = ("started_at", "updated_at")
@@ -73,7 +73,7 @@ class SweepSummary:
 
 
 def _utcnow() -> str:
-    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
 def _is_int(value: object) -> bool:
@@ -109,18 +109,62 @@ def verify_block(lo: int, hi: int) -> list[int]:
     return failures
 
 
-def _verify_block_task(block: tuple[int, int]) -> list[int]:
-    return verify_block(*block)
+def _worker(blocks: list[tuple[int, int]], write_fd: int, inherited: list) -> None:
+    """A forked worker's whole life: one line of failures per block, in
+    order, then ``os._exit``.  It prints nothing, and it stops at its next
+    write once nothing reads its pipe, as when the parent has died."""
+    code = 1
+    try:
+        for pipe in inherited:  # the read ends, so only the parent holds them open
+            pipe.close()
+        with open(write_fd, "w", encoding="ascii") as out:
+            for lo, hi in blocks:
+                out.write(" ".join(map(str, verify_block(lo, hi))) + "\n")
+                out.flush()
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _block_failures(blocks: list[tuple[int, int]], workers: int) -> Iterator[list[int]]:
     """Each block's failures, in order and as they arrive, so the caller can
-    checkpoint between them; in-process at one worker or one block."""
-    if workers == 1 or len(blocks) <= 1:
-        yield from map(_verify_block_task, blocks)
+    checkpoint between them; in-process at one worker or one block.
+
+    Otherwise worker w is a forked child that verifies blocks[w::workers],
+    so the line of block i comes from pipe i % workers.  A block whose line
+    never comes (its worker died or raised) is verified here, which raises
+    any error exactly as one worker would.
+    """
+    workers = min(workers, len(blocks))
+    if workers <= 1 or not hasattr(os, "fork"):
+        for lo, hi in blocks:
+            yield verify_block(lo, hi)
         return
-    with multiprocessing.Pool(min(workers, len(blocks))) as pool:
-        yield from pool.imap(_verify_block_task, blocks)
+    pids: list[int] = []
+    pipes = []
+    try:
+        for w in range(workers):
+            read_fd, write_fd = os.pipe()
+            pipes.append(open(read_fd, "r", encoding="ascii"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _worker(blocks[w::workers], write_fd, pipes)
+            finally:  # before the next fork, so a dead worker reads as EOF
+                os.close(write_fd)
+            pids.append(pid)
+        for i, (lo, hi) in enumerate(blocks):
+            line = pipes[i % workers].readline()
+            if line.endswith("\n"):
+                yield [int(n) for n in line.split()]
+            else:
+                yield verify_block(lo, hi)
+    finally:
+        for pid in pids:
+            os.kill(pid, _SIGKILL)
+            os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
 
 
 def _blocks(first: int, last: int) -> list[tuple[int, int]]:
@@ -248,12 +292,16 @@ def run_verify(
                 ),
             )
 
-    for (lo, hi), block_failures in zip(blocks, _block_failures(blocks, workers)):
-        failures.extend(block_failures)
-        evens_since_checkpoint += (hi - lo) // 2 + 1
-        if evens_since_checkpoint >= checkpoint_stride and hi < to_even:
-            flush_checkpoint(hi)
-            evens_since_checkpoint = 0
+    results = _block_failures(blocks, workers)
+    try:  # closing the generator stops its workers even if a checkpoint write fails
+        for (lo, hi), block_failures in zip(blocks, results):
+            failures.extend(block_failures)
+            evens_since_checkpoint += (hi - lo) // 2 + 1
+            if evens_since_checkpoint >= checkpoint_stride and hi < to_even:
+                flush_checkpoint(hi)
+                evens_since_checkpoint = 0
+    finally:
+        results.close()
 
     flush_checkpoint(to_even)
     elapsed = time.perf_counter() - t0

@@ -1,7 +1,6 @@
 import csv
 import io
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -191,14 +190,14 @@ class TestAuditRange:
 
     def test_pooled_pair_pass_does_not_change_the_result(self):
         rng = Range(1, 131_300)  # just over 2^17 integers
-        assert len(sweep._blocks(4, rng.end)) == 2  # so two workers use the pool
+        assert len(sweep._blocks(4, rng.end)) == 2  # so two workers are forked
         assert audit_range(rng, 100) == audit_range(rng, 100, workers=2)
 
     def test_one_block_starts_no_process(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a process pool was started")
+        def no_fork():
+            raise AssertionError("a worker process was forked")
 
-        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        monkeypatch.setattr(os, "fork", no_fork)
         assert audit_range(Range(1, 2000), 20, workers=2) == audit_range(Range(1, 2000), 20)
 
     @pytest.mark.parametrize("workers", [0, -1])

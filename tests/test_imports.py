@@ -1,6 +1,9 @@
 """Every module of the package uses each name it imports."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,3 +25,15 @@ def test_every_imported_name_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(set(imported_names(tree)) - used) == []
+
+
+def test_cli_import_loads_neither_the_pool_nor_datetime():
+    code = (
+        "import sys, goldbach_lab.cli\n"
+        "print(sorted(m for m in ('multiprocessing', 'datetime') if m in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert proc.stdout == "[]\n"

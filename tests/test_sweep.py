@@ -1,8 +1,8 @@
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -12,7 +12,7 @@ import goldbach_lab
 from goldbach_lab import sweep
 from goldbach_lab.cli import main
 from goldbach_lab.dc import dc_min, goldbach_pairs
-from goldbach_lab.errors import CheckpointMismatch, NotEven
+from goldbach_lab.errors import CheckpointMismatch, NotEven, OutOfBounds
 from goldbach_lab.sweep import (
     CHECKPOINT_VERSION,
     SweepCheckpoint,
@@ -34,6 +34,10 @@ HIGH_HI = HIGH_LO + 2 * ((1 << 20) + (1 << 12))
 B = sweep._PAIR_PRIME_BOUND
 AT_THE_CLAMP = [(B, B + 200), (B + 2, B + 200), (B + 4, B + 200)]
 
+# two blocks at 2^64: each worker refuses its first block before sieving
+TOO_HIGH_LO = 1 << 64
+TOO_HIGH_HI = TOO_HIGH_LO + 2 * sweep._MAX_BLOCK_EVENS
+
 
 def make_checkpoint(**overrides):
     doc = {
@@ -47,6 +51,29 @@ def make_checkpoint(**overrides):
     }
     doc.update(overrides)
     return json.dumps(doc)
+
+
+def src_env():
+    """The environment for a child interpreter that imports this package."""
+    src = str(Path(goldbach_lab.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pid of every worker process the sweep forks, as the parent sees it."""
+    pids = []
+    real_fork = os.fork
+
+    def recording_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
 
 
 class TestVerifyBlock:
@@ -188,29 +215,96 @@ class TestRunVerify:
         four = run_verify(4, 3 * (1 << 17), workers=4)
         assert (one.verified, one.failures) == (four.verified, four.failures)
 
-    def test_pool_has_no_more_processes_than_blocks(self, monkeypatch):
-        sizes = []
-
-        class InProcessPool:  # records its size and starts no process
-            def __init__(self, processes):
-                sizes.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def imap(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    def test_pool_has_no_more_processes_than_blocks(self, forks):
         assert len(sweep._blocks(4, 300_000)) == 3
         summary = run_verify(4, 300_000, workers=8)
         assert (summary.verified, summary.failures) == (149_999, ())
-        assert sizes == [3]
+        assert len(forks) == 3
         run_verify(4, 300_000, workers=2)
-        assert sizes == [3, 2]
+        assert len(forks) == 5
+
+    def test_a_dead_worker_leaves_its_blocks_to_the_parent(self, monkeypatch, forks):
+        blocks = sweep._blocks(4, 300_000)
+        one = run_verify(4, 300_000)
+        parent = os.getpid()
+        real_verify_block = sweep.verify_block
+        verified_here = []
+
+        def dying_verify_block(lo, hi):
+            if os.getpid() == parent:
+                verified_here.append((lo, hi))
+            elif (lo, hi) == blocks[0]:  # worker 0 exits at its first block
+                os._exit(1)
+            return real_verify_block(lo, hi)
+
+        monkeypatch.setattr(sweep, "verify_block", dying_verify_block)
+        two = run_verify(4, 300_000, workers=2)
+        assert (two.verified, two.failures) == (one.verified, one.failures)
+        assert len(forks) == 2
+        assert verified_here == blocks[0::2]  # worker 0's share; worker 1's came by pipe
+
+    def test_failures_cross_the_pipes_in_block_order(self, monkeypatch, forks):
+        monkeypatch.setattr(sweep, "verify_block", lambda lo, hi: [hi, lo] if lo % 3 else [])
+        one = run_verify(4, 600_000)
+        assert one.failures and one.verified == 299_999 - len(one.failures)
+        for workers in (2, 3):
+            other = run_verify(4, 600_000, workers=workers)
+            assert (other.verified, other.failures) == (one.verified, one.failures)
+        assert len(forks) == 5
+
+    def test_a_worker_error_is_raised_as_at_one_worker(self, forks):
+        assert len(sweep._blocks(TOO_HIGH_LO, TOO_HIGH_HI)) == 2
+        with pytest.raises(OutOfBounds) as one:
+            run_verify(TOO_HIGH_LO, TOO_HIGH_HI)
+        with pytest.raises(OutOfBounds) as two:
+            run_verify(TOO_HIGH_LO, TOO_HIGH_HI, workers=2)
+        assert str(two.value) == str(one.value)
+        assert len(forks) == 2
+
+    def test_a_worker_error_exits_two_from_the_cli(self):
+        resource = pytest.importorskip("resource")
+
+        def cap_address_space():  # a regression fails fast instead of allocating
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "goldbach_lab.cli", "verify", "--from", str(TOO_HIGH_LO),
+             "--to", str(TOO_HIGH_HI), "--workers", "2"],
+            capture_output=True, text=True, env=src_env(), preexec_fn=cap_address_space, timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "2**64" in proc.stderr
+
+    @pytest.mark.parametrize("ending", ["return", "raise", "checkpoint-write"])
+    def test_every_worker_is_reaped(self, ending, forks, tmp_path):
+        # a held exception keeps the sweep's frames alive, so only the sweep
+        # itself, not garbage collection, can have stopped its workers
+        raised = None
+        if ending == "return":
+            run_verify(4, 300_000, workers=2)
+        elif ending == "raise":
+            with pytest.raises(OutOfBounds) as raised:
+                run_verify(TOO_HIGH_LO, TOO_HIGH_HI, workers=2)
+        else:  # the first checkpoint, after block 0, goes to a missing directory
+            with pytest.raises(FileNotFoundError) as raised:
+                run_verify(4, 300_000, workers=2, checkpoint_stride=1,
+                           checkpoint_path=str(tmp_path / "missing" / "cp.json"))
+        assert (raised is None) == (ending == "return")
+        assert len(forks) == 2
+        for pid in forks:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+    def test_checkpoint_positions_do_not_depend_on_workers(self, monkeypatch, tmp_path):
+        written = {1: [], 2: []}
+        for workers, positions in written.items():
+            monkeypatch.setattr(
+                sweep, "write_checkpoint", lambda path, cp: positions.append(cp.last_verified)
+            )
+            run_verify(4, 600_000, workers=workers, checkpoint_stride=1 << 16,
+                       checkpoint_path=str(tmp_path / f"cp{workers}.json"))
+        assert written[1] == written[2]
+        assert len(written[1]) == len(sweep._blocks(4, 600_000)) == 5
 
     def test_workers_and_checkpointing_compose(self, tmp_path):
         path = str(tmp_path / "cp.json")
@@ -255,14 +349,11 @@ class TestRunVerify:
             "with open('/proc/self/status') as fh:\n"
             "    print(next(l for l in fh if l.startswith('VmHWM:')).split()[1])\n"
         )
-        src = str(Path(goldbach_lab.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         out = tmp_path / "out.json"
         proc = subprocess.run(
             [sys.executable, "-c", code, "verify", "--from", str(lo), "--to", str(hi),
              "--format", "json", "--output", str(out)],
-            capture_output=True, text=True, env=env, timeout=300, check=True,
+            capture_output=True, text=True, env=src_env(), timeout=300, check=True,
         )
         assert json.loads(out.read_text())["payload"]["verified"] == (1 << 20) + 2
         peak_kib = int(proc.stdout.split()[-1])
@@ -270,6 +361,15 @@ class TestRunVerify:
 
 
 class TestCheckpointDocument:
+    def test_timestamps_are_written_as_datetime_wrote_them(self, monkeypatch):
+        from datetime import datetime, timezone
+
+        second = 1_700_000_000
+        real_gmtime = time.gmtime
+        monkeypatch.setattr(time, "gmtime", lambda *args: real_gmtime(second))
+        expected = datetime.fromtimestamp(second, timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+        assert sweep._utcnow() == expected == "2023-11-14T22:13:20Z"
+
     def test_round_trip(self):
         cp = SweepCheckpoint(CHECKPOINT_VERSION, 4, 10000, 5000, (100, 200), T0, T0)
         assert checkpoint_from_json(checkpoint_to_json(cp)) == cp

@@ -248,7 +248,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive
-        print(f"internal error: {exc}", file=sys.stderr)
+        detail = ": ".join(filter(None, (type(exc).__name__, str(exc))))
+        print(f"internal error: {detail}", file=sys.stderr)
         return 1
 
 

@@ -166,7 +166,7 @@ class PrimeSegment:
     digits[k] is ``0`` exactly when the k-th odd of [lo, hi], (lo | 1) + 2k,
     is prime, and ``1`` when it is not; 2 is the one even prime.  Nothing
     builds per-integer flags.  ``sieve_segment`` returns immutable digits,
-    so its segments can be shared freely between workers.  The segments of
+    so its segments compare and hash by value.  The segments of
     ``iter_segments`` share the core's bytearray without a copy: do not
     mutate or hash them.
     """

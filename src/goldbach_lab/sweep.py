@@ -16,9 +16,9 @@ A block holds the power of two just above sqrt(to) evens, but at least
 sqrt(hi) once per block, so blocks sized to sqrt(hi) keep that walk from
 dominating at high magnitudes, and the cap bounds a block's memory.  The
 size depends on the sweep's last even alone, so the blocks, and with them
-the output, are the same at any worker count and after a resume.  Above
-one worker, forked workers take the blocks round-robin and pipe each
-block's failures back, read in block order.
+the output, are the same at any worker count and after a resume.  The plan
+is a ``range`` of block starts, so it costs the same at any span; forked
+workers take slices of it round-robin and pipe back each block's failures.
 """
 
 from __future__ import annotations
@@ -109,7 +109,12 @@ def verify_block(lo: int, hi: int) -> list[int]:
     return failures
 
 
-def _worker(blocks: list[tuple[int, int]], write_fd: int, inherited: list) -> None:
+def _spans(starts: range, step: int, last: int) -> Iterator[tuple[int, int]]:
+    """(lo, hi) of the block at each start, where step is the plan's own."""
+    return ((lo, min(lo + step - 2, last)) for lo in starts)
+
+
+def _worker(blocks: Iterator[tuple[int, int]], write_fd: int, inherited: list) -> None:
     """A forked worker's whole life: one line of failures per block, in
     order, then ``os._exit``.  It prints nothing, and it stops at its next
     write once nothing reads its pipe, as when the parent has died."""
@@ -126,19 +131,19 @@ def _worker(blocks: list[tuple[int, int]], write_fd: int, inherited: list) -> No
         os._exit(code)
 
 
-def _block_failures(blocks: list[tuple[int, int]], workers: int) -> Iterator[list[int]]:
-    """Each block's failures, in order and as they arrive, so the caller can
-    checkpoint between them; in-process at one worker or one block.
+def _block_failures(blocks: range, last: int, workers: int) -> Iterator[tuple[int, list[int]]]:
+    """Each block's end and failures, in order and as they arrive, so the
+    caller can checkpoint between them; in-process at one worker or one block.
 
     Otherwise worker w is a forked child that verifies blocks[w::workers],
     so the line of block i comes from pipe i % workers.  A block whose line
     never comes (its worker died or raised) is verified here, which raises
     any error exactly as one worker would.
     """
-    workers = min(workers, len(blocks))
+    workers = len(blocks[:workers])  # at most one per block; len(blocks) may pass 2**63
     if workers <= 1 or not hasattr(os, "fork"):
-        for lo, hi in blocks:
-            yield verify_block(lo, hi)
+        for lo, hi in _spans(blocks, blocks.step, last):
+            yield hi, verify_block(lo, hi)
         return
     pids: list[int] = []
     pipes = []
@@ -148,17 +153,17 @@ def _block_failures(blocks: list[tuple[int, int]], workers: int) -> Iterator[lis
             pipes.append(open(read_fd, "r", encoding="ascii"))
             try:
                 pid = os.fork()
-                if pid == 0:
-                    _worker(blocks[w::workers], write_fd, pipes)
+                if pid == 0:  # a slice's step is workers times the plan's
+                    _worker(_spans(blocks[w::workers], blocks.step, last), write_fd, pipes)
             finally:  # before the next fork, so a dead worker reads as EOF
                 os.close(write_fd)
             pids.append(pid)
-        for i, (lo, hi) in enumerate(blocks):
+        for i, (lo, hi) in enumerate(_spans(blocks, blocks.step, last)):
             line = pipes[i % workers].readline()
             if line.endswith("\n"):
-                yield [int(n) for n in line.split()]
+                yield hi, [int(n) for n in line.split()]
             else:
-                yield verify_block(lo, hi)
+                yield hi, verify_block(lo, hi)
     finally:
         for pid in pids:
             os.kill(pid, _SIGKILL)
@@ -167,16 +172,10 @@ def _block_failures(blocks: list[tuple[int, int]], workers: int) -> Iterator[lis
             pipe.close()
 
 
-def _blocks(first: int, last: int) -> list[tuple[int, int]]:
-    """Consecutive even-bounded blocks covering [first, last], sized by last."""
+def _blocks(first: int, last: int) -> range:
+    """The start of each block covering [first, last], sized by last (see _spans)."""
     evens = max(BLOCK_EVENS, min(_MAX_BLOCK_EVENS, 1 << isqrt(last).bit_length()))
-    out = []
-    lo = first
-    while lo <= last:
-        hi = min(lo + 2 * (evens - 1), last)
-        out.append((lo, hi))
-        lo = hi + 2
-    return out
+    return range(first, last + 1, 2 * evens)
 
 
 def checkpoint_to_json(cp: SweepCheckpoint) -> str:
@@ -275,7 +274,8 @@ def run_verify(
 
     t0 = time.perf_counter()
     blocks = _blocks(start_at, to_even)
-    evens_since_checkpoint = 0
+    # every full block holds step // 2 evens, and only the last may be short
+    every = -(-checkpoint_stride // (blocks.step // 2))
 
     def flush_checkpoint(last_verified: int) -> None:
         if checkpoint_path:
@@ -292,14 +292,12 @@ def run_verify(
                 ),
             )
 
-    results = _block_failures(blocks, workers)
+    results = _block_failures(blocks, to_even, workers)
     try:  # closing the generator stops its workers even if a checkpoint write fails
-        for (lo, hi), block_failures in zip(blocks, results):
+        for count, (hi, block_failures) in enumerate(results, 1):
             failures.extend(block_failures)
-            evens_since_checkpoint += (hi - lo) // 2 + 1
-            if evens_since_checkpoint >= checkpoint_stride and hi < to_even:
+            if count % every == 0 and hi < to_even:
                 flush_checkpoint(hi)
-                evens_since_checkpoint = 0
     finally:
         results.close()
 

@@ -83,6 +83,34 @@ class TestExitCodes:
         assert list(tmp_path.iterdir()) == []  # nothing created or truncated
 
 
+    @pytest.mark.parametrize("error, message", [
+        (MemoryError(), "internal error: MemoryError\n"),
+        (RuntimeError("no luck"), "internal error: RuntimeError: no luck\n"),
+    ], ids=["no-message", "message"])
+    def test_internal_error_names_its_type(self, capsys, monkeypatch, error, message):
+        def failing_dc_min(target):
+            raise error
+
+        monkeypatch.setattr(cli, "dc_min", failing_dc_min)
+        assert run_cli(capsys, "dc", "8") == (1, "", message)
+
+    @pytest.mark.parametrize("flag", ["--workers", "--checkpoint-stride"])
+    def test_zero_verify_knob_refused_before_the_work(
+        self, capsys, tmp_path, monkeypatch, flag
+    ):
+        def no_work(lo, hi):
+            raise AssertionError("a block was verified before the refusal")
+
+        monkeypatch.setattr("goldbach_lab.sweep.verify_block", no_work)
+        code, out, err = run_cli(
+            capsys, "verify", "--from", "4", "--to", "1000", flag, "0",
+            "--checkpoint", str(tmp_path / "cp.json"),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and ">= 1" in err
+        assert list(tmp_path.iterdir()) == []  # no checkpoint written
+
+
 class TestNumberParsing:
     def test_underscore_separators(self, capsys):
         code, out, _ = run_cli(
@@ -94,6 +122,12 @@ class TestNumberParsing:
     def test_negative_rejected(self):
         with pytest.raises(SystemExit):
             main(["dc", "--", "-5"])
+
+    def test_non_integer_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["dc", "abc"])
+        assert exc.value.code == 2
+        assert "not an integer: 'abc'" in capsys.readouterr().err
 
 
 class TestVerifyCommand:

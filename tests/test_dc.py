@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from goldbach_lab import dc
 from goldbach_lab.dc import (
     ORACLE_CAP,
     DcResult,
@@ -13,9 +14,11 @@ from goldbach_lab.dc import (
 from goldbach_lab.errors import (
     AboveEnumerationCap,
     AboveOracleCap,
+    GoldbachCounterexample,
     NotEven,
     TargetTooSmall,
 )
+from goldbach_lab.primes import sieve_segment
 
 from oracles import min_prime_summands, trial_is_prime, trial_primes_between
 
@@ -74,6 +77,24 @@ class TestDcMin:
         # found below 4*10^18 (Oliveira e Silva, Herzog & Pardi,
         # Math. Comp. 83 (2014) 2033-2060).
         assert dc_min(3325581707333960528).witness[0] == 9781
+
+    def test_counterexample_only_after_every_prime_up_to_half(self, monkeypatch):
+        # with no prime complement anywhere, the search must run out of p <=
+        # target/2, past the 2^16 base table and across iter_primes' chunks
+        target = 300_002
+        asked = []
+
+        def nothing_is_prime(n):
+            asked.append(n)
+            return False
+
+        monkeypatch.setattr(dc, "is_prime", nothing_is_prime)
+        with pytest.raises(GoldbachCounterexample) as raised:
+            dc_min(target)
+        assert raised.value.target == target
+        tried = [target - n for n in asked[1:]]  # asked[0] is the target itself
+        assert tried == sieve_segment(1, target // 2).primes()
+        assert tried[-1] > 2 * (1 << 16)
 
     @settings(max_examples=150, deadline=None)
     @given(target=st.integers(2, 10**5))

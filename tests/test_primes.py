@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 
 import pytest
@@ -341,3 +342,9 @@ class TestIterPrimes:
     def test_start_offset(self):
         it = iter_primes(90)
         assert next(it) == 97
+
+    @pytest.mark.parametrize("start", [65_530, 65_537, 131_000])
+    def test_chunks_join_without_gaps(self, start):
+        # iter_primes sieves 2^16 integers at a time, so these cross chunk ends
+        primes_up_to_top = itertools.takewhile(lambda p: p <= 300_000, iter_primes(start))
+        assert list(primes_up_to_top) == sieve_segment(start, 300_000).primes()

@@ -158,6 +158,14 @@ def block_evens(block):
     return (hi - lo) // 2 + 1
 
 
+def block_pairs(first, last):
+    """The plan of [first, last] as (lo, hi) pairs: each block ends one even
+    before the next start, and the last one at last."""
+    starts = sweep._blocks(first, last)
+    assert isinstance(starts, range) and starts.start == first
+    return [(lo, min(lo + starts.step - 2, last)) for lo in starts]
+
+
 class TestBlocks:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -166,7 +174,7 @@ class TestBlocks:
     )
     def test_blocks_tile_the_range(self, first, span):
         last = first + 2 * span
-        blocks = sweep._blocks(first, last)
+        blocks = block_pairs(first, last)
         assert blocks[0][0] == first and blocks[-1][1] == last
         for lo, hi in blocks:
             assert lo % 2 == 0 and hi % 2 == 0 and lo <= hi
@@ -183,12 +191,12 @@ class TestBlocks:
     )
     def test_block_size_follows_the_square_root_of_the_last_even(self, last, evens):
         first = last - 2 * (3 << 20)
-        assert block_evens(sweep._blocks(first, last)[0]) == evens
+        assert block_evens(block_pairs(first, last)[0]) == evens
 
     def test_block_size_depends_on_the_last_even_only(self):
         # a resumed sweep starts mid-range and must cut blocks of the same size
         assert len(sweep._blocks(HIGH_LO, HIGH_HI)) == 2
-        resumed = sweep._blocks(HIGH_LO + 2 * 1000, HIGH_HI)
+        resumed = block_pairs(HIGH_LO + 2 * 1000, HIGH_HI)
         assert [block_evens(b) for b in resumed] == [1 << 20, (1 << 12) - 999]
 
 
@@ -224,7 +232,7 @@ class TestRunVerify:
         assert len(forks) == 5
 
     def test_a_dead_worker_leaves_its_blocks_to_the_parent(self, monkeypatch, forks):
-        blocks = sweep._blocks(4, 300_000)
+        blocks = block_pairs(4, 300_000)
         one = run_verify(4, 300_000)
         parent = os.getpid()
         real_verify_block = sweep.verify_block
@@ -333,6 +341,35 @@ class TestRunVerify:
         assert read_checkpoint(path).last_verified == HIGH_HI
         for other in (two, resumed):
             assert (other.verified, other.failures) == (fresh.verified, fresh.failures)
+
+    def test_a_huge_span_checkpoints_its_first_block_at_once(self, tmp_path):
+        # 4..10^14 is 47,683,716 blocks of 2^20 evens: planning them must cost
+        # nothing, so the first checkpoint comes within seconds under 1 GiB
+        resource = pytest.importorskip("resource")
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        path = tmp_path / "cp.json"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "goldbach_lab.cli", "verify", "--from", "4",
+             "--to", str(10**14), "--workers", "1", "--checkpoint", str(path),
+             "--checkpoint-stride", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=src_env(),
+            preexec_fn=cap_address_space,
+        )
+        try:
+            deadline = time.monotonic() + 5
+            while not path.exists() and proc.poll() is None and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert proc.poll() is None, proc.communicate()[1]
+            cp = read_checkpoint(str(path))  # written by rename, so complete
+        finally:
+            proc.kill()
+            proc.communicate()
+        step = 2 * sweep._MAX_BLOCK_EVENS
+        assert (cp.from_even, cp.to_even) == (4, 10**14)
+        assert cp.last_verified >= 4 + step - 2 and (cp.last_verified - 4 + 2) % step == 0
 
     @pytest.mark.skipif(
         not os.path.exists("/proc/self/status"), reason="needs VmHWM from procfs"

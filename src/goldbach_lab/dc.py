@@ -141,23 +141,21 @@ def decompositions(target: int, k: int) -> list[tuple[int, ...]]:
         raise ValueError(f"need k >= 1, got {k}")
     prime_list = sieve_segment(1, target).primes()
     out: list[tuple[int, ...]] = []
-    chosen: list[int] = []
-
-    def extend(remaining: int, slots: int, min_index: int) -> None:
-        if slots == 0:
-            if remaining == 0:
-                out.append(tuple(chosen))
-            return
-        for idx in range(min_index, len(prime_list)):
-            p = prime_list[idx]
-            if p * slots > remaining:
-                break
-            chosen.append(p)
-            extend(remaining - p, slots - 1, idx)
-            chosen.pop()
-
-    extend(target, k, 0)
-    return out
+    chosen: list[int] = []  # indices into prime_list, ascending: a depth-first walk
+    idx, remaining = 0, target  # the next index to try, and what the open slots must sum to
+    while True:
+        slots = k - len(chosen)
+        if slots and idx < len(prime_list) and prime_list[idx] * slots <= remaining:
+            chosen.append(idx)  # idx stays: the next slot may repeat this prime
+            remaining -= prime_list[idx]
+            continue
+        if not slots and not remaining:
+            out.append(tuple(prime_list[i] for i in chosen))
+        if not chosen:
+            return out
+        idx = chosen.pop()
+        remaining += prime_list[idx]
+        idx += 1
 
 
 def goldbach_pairs(target: int) -> list[tuple[int, int]]:

@@ -220,11 +220,11 @@ def iter_segments(lo: int, hi: int, *, cap: int = SEGMENT_CAP) -> Iterator[Prime
     core's bytearray without a copy."""
     if lo < 1 or lo > hi:
         raise InvalidInterval(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
-    start = lo
-    while start <= hi:
+    if hi >= _WORD_LIMIT:  # refused here, not at the first segment past it
+        raise OutOfBounds(f"sieve domain is [1, 2**64): got hi = {hi}")
+    for start in range(lo, hi + 1, cap):
         end = min(start + cap - 1, hi)
         yield PrimeSegment(start, end, _odd_digits(start | 1, end))
-        start = end + 1
 
 
 def prime_count(lo: int, hi: int) -> int:

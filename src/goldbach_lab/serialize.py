@@ -8,7 +8,7 @@ belongs to the text rendering and stderr only).
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Iterator, Union
+from typing import Any, Callable, Iterable, Iterator, Union
 
 from . import __version__ as TOOL_VERSION
 from .audit import _DC_VALUE, RangeAudit, RelationCheck
@@ -27,15 +27,17 @@ def _dumps(value: Any, depth: int) -> str:
     return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + "  " * depth)
 
 
+def _envelope(command: str, parameters: dict, payload_chunks: Iterable[str]) -> Iterator[str]:
+    """The fixed JSON envelope around a payload already rendered at depth 1."""
+    yield f'{{\n  "command": {json.dumps(command)},\n  "parameters": {_dumps(parameters, 1)},'
+    yield '\n  "payload": '
+    yield from payload_chunks
+    yield f',\n  "tool_version": {json.dumps(TOOL_VERSION)}\n}}\n'
+
+
 def to_json(command: str, parameters: dict[str, Any], payload: Any) -> str:
     """One command's result in the fixed JSON envelope."""
-    doc = {
-        "command": command,
-        "parameters": parameters,
-        "payload": payload,
-        "tool_version": TOOL_VERSION,
-    }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return "".join(_envelope(command, parameters, [_dumps(payload, 1)]))
 
 
 def _entries(evens: range, pieces: list[str], sep: str = "") -> Iterator[str]:
@@ -116,11 +118,12 @@ def audit_json(result: RangeAudit, parameters: dict[str, Any]) -> Iterator[str]:
     Each distinct (census, row checks, even checks) key renders its row
     template once; each per-even entry is then prefix + str(A) + suffix.
     """
+    return _envelope("audit", parameters, _audit_payload(result))
+
+
+def _audit_payload(result: RangeAudit) -> Iterator[str]:
     template = _per_object(_row_template)
-    yield (
-        f'{{\n  "command": "audit",\n  "parameters": {_dumps(parameters, 1)},\n'
-        '  "payload": {\n    "rows": ['
-    )
+    yield '{\n    "rows": ['
     for i, report in enumerate(result.reports):
         head, pieces, tail = template(report.census, report.row_checks, report.even_checks)
         yield (",\n" if i else "\n") + head
@@ -132,8 +135,7 @@ def audit_json(result: RangeAudit, parameters: dict[str, Any]) -> Iterator[str]:
         )
     yield (
         ("\n    ]" if result.reports else "]")
-        + f',\n    "verdict_summary": {_dumps(result.summary, 2)}\n  }},'
-        + f'\n  "tool_version": {json.dumps(TOOL_VERSION)}\n}}\n'
+        + f',\n    "verdict_summary": {_dumps(result.summary, 2)}\n  }}'
     )
 
 

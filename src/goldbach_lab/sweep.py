@@ -17,8 +17,8 @@ sqrt(hi) once per block, so blocks sized to sqrt(hi) keep that walk from
 dominating at high magnitudes, and the cap bounds a block's memory.  The
 size depends on the sweep's last even alone, so the blocks, and with them
 the output, are the same at any worker count and after a resume.  The plan
-is a ``range`` of block starts, so it costs the same at any span; forked
-workers take slices of it round-robin and pipe back each block's failures.
+is a ``range`` of block starts, so it costs the same at any span; N workers,
+this process and N - 1 forked children, take slices of it round-robin.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from math import isqrt
 from typing import Iterator, Optional
 
 from .dc import dc_min
-from .errors import CheckpointMismatch, GoldbachCounterexample, NotEven
-from .primes import _odd_digits, base_primes
+from .errors import CheckpointMismatch, GoldbachCounterexample, NotEven, OutOfBounds
+from .primes import _WORD_LIMIT, _odd_digits, base_primes
 
 BLOCK_EVENS = 1 << 16  # fewest evens handed to a worker at a time
 _MAX_BLOCK_EVENS = 1 << 20  # most evens in one block, whatever the magnitude
@@ -133,22 +133,19 @@ def _worker(blocks: Iterator[tuple[int, int]], write_fd: int, inherited: list) -
 
 def _block_failures(blocks: range, last: int, workers: int) -> Iterator[tuple[int, list[int]]]:
     """Each block's end and failures, in order and as they arrive, so the
-    caller can checkpoint between them; in-process at one worker or one block.
+    caller can checkpoint between them.
 
-    Otherwise worker w is a forked child that verifies blocks[w::workers],
-    so the line of block i comes from pipe i % workers.  A block whose line
-    never comes (its worker died or raised) is verified here, which raises
-    any error exactly as one worker would.
+    This process is worker 0; forked worker w >= 1 verifies blocks[w::workers],
+    and the line of its block i comes from pipe i % workers.  Every other
+    block is verified here: worker 0's own, those whose line never comes (the
+    worker died or raised, so any error is raised as at one worker), and all
+    of them with one worker, one block or no ``os.fork``.
     """
-    workers = len(blocks[:workers])  # at most one per block; len(blocks) may pass 2**63
-    if workers <= 1 or not hasattr(os, "fork"):
-        for lo, hi in _spans(blocks, blocks.step, last):
-            yield hi, verify_block(lo, hi)
-        return
+    workers = len(blocks[:workers]) if hasattr(os, "fork") else 1  # len(blocks) may pass 2**63
     pids: list[int] = []
-    pipes = []
+    pipes = []  # the read end of worker w is pipes[w - 1]
     try:
-        for w in range(workers):
+        for w in range(1, workers):
             read_fd, write_fd = os.pipe()
             pipes.append(open(read_fd, "r", encoding="ascii"))
             try:
@@ -159,7 +156,7 @@ def _block_failures(blocks: range, last: int, workers: int) -> Iterator[tuple[in
                 os.close(write_fd)
             pids.append(pid)
         for i, (lo, hi) in enumerate(_spans(blocks, blocks.step, last)):
-            line = pipes[i % workers].readline()
+            line = pipes[i % workers - 1].readline() if i % workers else ""
             if line.endswith("\n"):
                 yield hi, [int(n) for n in line.split()]
             else:
@@ -251,6 +248,8 @@ def run_verify(
         raise NotEven(f"bounds must be even, got [{from_even}, {to_even}]")
     if not 4 <= from_even <= to_even:
         raise ValueError(f"need 4 <= from <= to, got [{from_even}, {to_even}]")
+    if to_even >= _WORD_LIMIT:  # refused here, not at the first block past it
+        raise OutOfBounds(f"verify domain is [4, 2**64): got to = {to_even}")
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")
     if checkpoint_stride < 1:

@@ -388,3 +388,23 @@ class TestSieveDomain:
         )
         assert proc.returncode == 2, proc.stderr
         assert "2**64" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["census", "--from", "1", "--row-width", str((1 << 64) + 8)],
+         ["audit", "--from", "1", "--row-width", str((1 << 64) + 8)],
+         ["verify", "--from", "4", "--workers", "2"]],
+        ids=["census", "audit", "verify"],
+    )
+    def test_a_span_ending_past_two_to_the_64_is_refused_before_any_work(self, argv, tmp_path):
+        checkpoint = tmp_path / "cp.json"
+        extra = ["--checkpoint", str(checkpoint)] if argv[0] == "verify" else []
+        proc = subprocess.run(
+            [sys.executable, "-m", "goldbach_lab.cli", *argv, "--to", str((1 << 64) + 8), *extra],
+            capture_output=True,
+            text=True,
+            timeout=5,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "2**64" in proc.stderr
+        assert not checkpoint.exists()

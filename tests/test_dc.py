@@ -156,6 +156,13 @@ class TestDecompositions:
     def test_four_into_three_is_empty(self):
         assert decompositions(4, 3) == []
 
+    @pytest.mark.parametrize(
+        "target, k, expected",
+        [(2000, 1000, [(2,) * 1000]), (2001, 1000, [(2,) * 999 + (3,)])],
+    )
+    def test_k_deeper_than_the_recursion_limit(self, target, k, expected):
+        assert decompositions(target, k) == expected
+
     def test_above_cap(self):
         with pytest.raises(AboveEnumerationCap):
             decompositions(10**5, 2)
@@ -187,7 +194,7 @@ class TestDecompositions:
             for combo in combinations_with_replacement(primes, k)
             if sum(combo) == target
         ]
-        assert sorted(found) == sorted(expected)
+        assert found == expected  # and in the same lexicographic order
 
 
 class TestGoldbachPairs:

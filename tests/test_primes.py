@@ -293,6 +293,15 @@ class TestPrimeCount:
         with pytest.raises(InvalidInterval):
             prime_count(0, 5)
 
+    def test_a_span_past_two_to_the_64_is_refused_before_any_segment(self, monkeypatch):
+        sieved = []
+        monkeypatch.setattr(primes, "_odd_digits", lambda *span: sieved.append(span))
+        with pytest.raises(OutOfBounds, match=r"2\*\*64"):
+            prime_count(1, (1 << 64) + 8)
+        with pytest.raises(OutOfBounds, match=r"2\*\*64"):
+            next(iter_segments((1 << 64) - 8, 1 << 64))
+        assert sieved == []
+
     @settings(max_examples=100, deadline=None)
     @given(lo=st.integers(1, 10**7), span=st.integers(0, 300))
     def test_agrees_with_point_tests(self, lo, span):

@@ -34,7 +34,7 @@ HIGH_HI = HIGH_LO + 2 * ((1 << 20) + (1 << 12))
 B = sweep._PAIR_PRIME_BOUND
 AT_THE_CLAMP = [(B, B + 200), (B + 2, B + 200), (B + 4, B + 200)]
 
-# two blocks at 2^64: each worker refuses its first block before sieving
+# two blocks at 2^64: run_verify refuses the span before any block
 TOO_HIGH_LO = 1 << 64
 TOO_HIGH_HI = TOO_HIGH_LO + 2 * sweep._MAX_BLOCK_EVENS
 
@@ -58,6 +58,20 @@ def src_env():
     src = str(Path(goldbach_lab.__file__).resolve().parents[1])
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def refuse_block_one(monkeypatch):
+    """Make verify_block raise OutOfBounds for block 1 of [4, 300000], which
+    worker 1 of two verifies first, in whichever process verifies it."""
+    block = block_pairs(4, 300_000)[1]
+    real_verify_block = sweep.verify_block
+
+    def refusing_verify_block(lo, hi):
+        if (lo, hi) == block:
+            raise OutOfBounds(f"block {block} refused")
+        return real_verify_block(lo, hi)
+
+    monkeypatch.setattr(sweep, "verify_block", refusing_verify_block)
 
 
 @pytest.fixture
@@ -227,13 +241,36 @@ class TestRunVerify:
         assert len(sweep._blocks(4, 300_000)) == 3
         summary = run_verify(4, 300_000, workers=8)
         assert (summary.verified, summary.failures) == (149_999, ())
-        assert len(forks) == 3
+        assert len(forks) == 2  # this process is worker 0
         run_verify(4, 300_000, workers=2)
-        assert len(forks) == 5
+        assert len(forks) == 3
+        assert len(sweep._blocks(4, 100_000)) == 1
+        run_verify(4, 100_000, workers=4)
+        run_verify(4, 300_000, workers=1)
+        assert len(forks) == 3  # one block or one worker forks nothing
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_the_parent_verifies_worker_zeros_share(self, monkeypatch, forks, workers):
+        blocks = block_pairs(4, 600_000)
+        parent = os.getpid()
+        real_verify_block = sweep.verify_block
+        verified_here = []
+
+        def recording_verify_block(lo, hi):
+            if os.getpid() == parent:
+                verified_here.append((lo, hi))
+            return real_verify_block(lo, hi)
+
+        monkeypatch.setattr(sweep, "verify_block", recording_verify_block)
+        summary = run_verify(4, 600_000, workers=workers)
+        assert (summary.verified, summary.failures) == (299_999, ())
+        assert len(forks) == workers - 1
+        assert verified_here == blocks[0::workers]
 
     def test_a_dead_worker_leaves_its_blocks_to_the_parent(self, monkeypatch, forks):
-        blocks = block_pairs(4, 300_000)
-        one = run_verify(4, 300_000)
+        blocks = block_pairs(4, 600_000)
+        assert len(blocks) == 5
+        one = run_verify(4, 600_000)
         parent = os.getpid()
         real_verify_block = sweep.verify_block
         verified_here = []
@@ -241,15 +278,16 @@ class TestRunVerify:
         def dying_verify_block(lo, hi):
             if os.getpid() == parent:
                 verified_here.append((lo, hi))
-            elif (lo, hi) == blocks[0]:  # worker 0 exits at its first block
+            elif (lo, hi) == blocks[1]:  # worker 1 exits at its first block
                 os._exit(1)
             return real_verify_block(lo, hi)
 
         monkeypatch.setattr(sweep, "verify_block", dying_verify_block)
-        two = run_verify(4, 300_000, workers=2)
-        assert (two.verified, two.failures) == (one.verified, one.failures)
+        three = run_verify(4, 600_000, workers=3)
+        assert (three.verified, three.failures) == (one.verified, one.failures)
         assert len(forks) == 2
-        assert verified_here == blocks[0::2]  # worker 0's share; worker 1's came by pipe
+        # worker 0's share and dead worker 1's; worker 2's came by pipe
+        assert verified_here == sorted(blocks[0::3] + blocks[1::3])
 
     def test_failures_cross_the_pipes_in_block_order(self, monkeypatch, forks):
         monkeypatch.setattr(sweep, "verify_block", lambda lo, hi: [hi, lo] if lo % 3 else [])
@@ -258,16 +296,24 @@ class TestRunVerify:
         for workers in (2, 3):
             other = run_verify(4, 600_000, workers=workers)
             assert (other.verified, other.failures) == (one.verified, one.failures)
-        assert len(forks) == 5
+        assert len(forks) == 3
 
-    def test_a_worker_error_is_raised_as_at_one_worker(self, forks):
-        assert len(sweep._blocks(TOO_HIGH_LO, TOO_HIGH_HI)) == 2
+    def test_a_worker_error_is_raised_as_at_one_worker(self, monkeypatch, forks):
+        refuse_block_one(monkeypatch)
         with pytest.raises(OutOfBounds) as one:
-            run_verify(TOO_HIGH_LO, TOO_HIGH_HI)
+            run_verify(4, 300_000)
         with pytest.raises(OutOfBounds) as two:
-            run_verify(TOO_HIGH_LO, TOO_HIGH_HI, workers=2)
+            run_verify(4, 300_000, workers=2)
         assert str(two.value) == str(one.value)
-        assert len(forks) == 2
+        assert len(forks) == 1
+
+    def test_a_span_past_two_to_the_64_is_refused_before_any_block(self, monkeypatch, forks):
+        monkeypatch.setattr(sweep, "verify_block", None)  # so any block would fail
+        with pytest.raises(OutOfBounds, match=r"2\*\*64"):
+            run_verify(TOO_HIGH_LO, TOO_HIGH_HI, workers=2)
+        with pytest.raises(OutOfBounds, match=r"2\*\*64"):
+            run_verify(4, 1 << 64)
+        assert forks == []
 
     def test_a_worker_error_exits_two_from_the_cli(self):
         resource = pytest.importorskip("resource")
@@ -284,21 +330,22 @@ class TestRunVerify:
         assert "2**64" in proc.stderr
 
     @pytest.mark.parametrize("ending", ["return", "raise", "checkpoint-write"])
-    def test_every_worker_is_reaped(self, ending, forks, tmp_path):
+    def test_every_worker_is_reaped(self, ending, monkeypatch, forks, tmp_path):
         # a held exception keeps the sweep's frames alive, so only the sweep
         # itself, not garbage collection, can have stopped its workers
         raised = None
         if ending == "return":
             run_verify(4, 300_000, workers=2)
         elif ending == "raise":
+            refuse_block_one(monkeypatch)
             with pytest.raises(OutOfBounds) as raised:
-                run_verify(TOO_HIGH_LO, TOO_HIGH_HI, workers=2)
+                run_verify(4, 300_000, workers=2)
         else:  # the first checkpoint, after block 0, goes to a missing directory
             with pytest.raises(FileNotFoundError) as raised:
                 run_verify(4, 300_000, workers=2, checkpoint_stride=1,
                            checkpoint_path=str(tmp_path / "missing" / "cp.json"))
         assert (raised is None) == (ending == "return")
-        assert len(forks) == 2
+        assert len(forks) == 1
         for pid in forks:
             with pytest.raises(ChildProcessError):
                 os.waitpid(pid, os.WNOHANG)

@@ -38,9 +38,10 @@ def census_range(rng: Range, width: int) -> list[tuple[Row, RowCensus]]:
     per odd (``primes.iter_segments``): each row adds the primes of every
     segment it overlaps, so a row may span several segments.
     """
+    segments = iter_segments(rng.start, rng.end)  # refuses a span past 2**64 before any row
     rows = partition_rows(rng, width)
     n_primes = [0] * len(rows)
-    for seg in iter_segments(rng.start, rng.end):
+    for seg in segments:
         for i in range((seg.lo - rng.start) // width, (seg.hi - rng.start) // width + 1):
             lo = rng.start + i * width
             n_primes[i] += seg.count(max(lo, seg.lo), min(lo + width - 1, seg.hi))

@@ -3,6 +3,10 @@
 Exit codes: 0 on success (failing relations are data, not errors), 1 on
 internal error, 2 on invalid arguments, paths or domain errors.  JSON output is
 byte-identical for identical query parameters, whatever the worker count.
+
+Each ``cmd_*`` handler returns its output, a string or the audit's chunks as
+they render, and ``main`` writes it once.  The parser gets the arguments of
+the invoked subcommand only.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ import argparse
 import errno
 import os
 import sys
-from typing import Callable, Iterable, Optional, Union
+from typing import Iterable, Optional, Union
 
 from . import serialize
 from .audit import audit_range
@@ -66,7 +70,11 @@ def _add_bounds(parser: argparse.ArgumentParser, row_width: bool = False) -> Non
         parser.add_argument("--row-width", type=_natural, required=True)
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def _row_params(args: argparse.Namespace) -> dict[str, int]:
+    return {"from": args.from_, "to": args.to, "width": args.row_width}
+
+
+def cmd_verify(args: argparse.Namespace) -> str:
     summary = run_verify(
         args.from_,
         args.to,
@@ -74,90 +82,51 @@ def cmd_verify(args: argparse.Namespace) -> int:
         checkpoint_path=args.checkpoint,
         checkpoint_stride=args.checkpoint_stride,
     )
+    if args.format == "text":
+        return serialize.sweep_text(summary)
+    print(f"verified {summary.verified} evens in {summary.elapsed_seconds:.2f} s", file=sys.stderr)
+    params = {"from": summary.from_even, "to": summary.to_even}
+    return serialize.to_json("verify", params, serialize.sweep_payload(summary))
+
+
+def cmd_audit(args: argparse.Namespace) -> Iterable[str]:
+    result = audit_range(Range(args.from_, args.to), args.row_width, workers=args.workers)
     if args.format == "json":
-        params = {"from": summary.from_even, "to": summary.to_even}
-        payload = serialize.sweep_payload(summary)
-        _emit(serialize.to_json("verify", params, payload), args.output)
-        print(
-            f"verified {summary.verified} evens in {summary.elapsed_seconds:.2f} s",
-            file=sys.stderr,
-        )
-    else:
-        _emit(serialize.sweep_text(summary), args.output)
-    return 0
+        return serialize.audit_json(result, _row_params(args))
+    return serialize.audit_csv(result) if args.format == "csv" else serialize.audit_text(result)
 
 
-def cmd_audit(args: argparse.Namespace) -> int:
-    result = audit_range(
-        Range(args.from_, args.to), args.row_width, workers=args.workers
-    )
-    if args.format == "json":
-        params = {"from": args.from_, "to": args.to, "width": args.row_width}
-        chunks = serialize.audit_json(result, params)
-    elif args.format == "csv":
-        chunks = serialize.audit_csv(result)
-    else:
-        chunks = serialize.audit_text(result)
-    _emit(chunks, args.output)
-    return 0
-
-
-def cmd_census(args: argparse.Namespace) -> int:
+def cmd_census(args: argparse.Namespace) -> str:
     items = census_range(Range(args.from_, args.to), args.row_width)
     if args.format == "json":
-        text = serialize.to_json(
-            "census",
-            {"from": args.from_, "to": args.to, "width": args.row_width},
-            serialize.census_payload(items),
-        )
-    elif args.format == "csv":
-        text = serialize.census_csv(items)
-    else:
-        text = serialize.census_text(items)
-    _emit(text, args.output)
-    return 0
+        return serialize.to_json("census", _row_params(args), serialize.census_payload(items))
+    return serialize.census_csv(items) if args.format == "csv" else serialize.census_text(items)
 
 
-def cmd_dc(args: argparse.Namespace) -> int:
+def cmd_dc(args: argparse.Namespace) -> str:
     result = dc_min(args.target)
     pairs = goldbach_pairs(args.target) if args.pairs else None
-    if args.format == "json":
-        text = serialize.to_json(
-            "dc",
-            {"target": args.target, "pairs": bool(args.pairs)},
-            serialize.dc_payload(result, pairs),
-        )
-    else:
-        text = serialize.dc_text(result, pairs)
-    _emit(text, args.output)
-    return 0
+    if args.format == "text":
+        return serialize.dc_text(result, pairs)
+    params = {"target": args.target, "pairs": bool(args.pairs)}
+    return serialize.to_json("dc", params, serialize.dc_payload(result, pairs))
 
 
-def cmd_sieve(args: argparse.Namespace) -> int:
+def cmd_sieve(args: argparse.Namespace) -> str:
     seg = sieve_segment(args.from_, args.to)
     if args.format == "json":
         payload = serialize.segment_payload(seg, include_primes=args.list)
-        text = serialize.to_json("sieve", {"from": args.from_, "to": args.to}, payload)
-    else:
-        text = f"primes in [{seg.lo}, {seg.hi}]: {seg.count()}\n"
-        if args.list:
-            text += " ".join(str(p) for p in seg.primes()) + "\n"
-    _emit(text, args.output)
-    return 0
+        return serialize.to_json("sieve", {"from": args.from_, "to": args.to}, payload)
+    listing = " ".join(str(p) for p in seg.primes()) + "\n" if args.list else ""
+    return f"primes in [{seg.lo}, {seg.hi}]: {seg.count()}\n{listing}"
 
 
-def cmd_partition(args: argparse.Namespace) -> int:
+def cmd_partition(args: argparse.Namespace) -> str:
     rows = partition_rows(Range(args.from_, args.to), args.row_width)
     if args.format == "json":
-        text = serialize.to_json(
-            "partition",
-            {"from": args.from_, "to": args.to, "width": args.row_width},
-            serialize.partition_payload(rows, args.row_width),
-        )
-    else:
-        text = "\n".join(f"row {r.start}..{r.end}" for r in rows) + "\n"
-    _emit(text, args.output)
-    return 0
+        payload = serialize.partition_payload(rows, args.row_width)
+        return serialize.to_json("partition", _row_params(args), payload)
+    return "\n".join(f"row {r.start}..{r.end}" for r in rows) + "\n"
 
 
 def _verify_arguments(p: argparse.ArgumentParser) -> None:
@@ -212,38 +181,29 @@ _COMMANDS = (  # name, help, the function adding its arguments, handler
 )
 
 
-class _Subcommand(argparse.ArgumentParser):
-    """A subcommand's parser that adds its arguments when it first parses, so
-    a call builds the arguments of the subcommand it invokes and no other's."""
-
-    def __init__(self, *, arguments: Callable[[argparse.ArgumentParser], None], **kwargs) -> None:
-        super().__init__(**kwargs)
-        self._arguments = arguments
-
-    def parse_known_args(self, args=None, namespace=None):
-        if self._arguments is not None:
-            self._arguments(self)
-            self._arguments = None
-        return super().parse_known_args(args, namespace)
-
-
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The CLI's parser.  Only the subcommand named ``command`` gets its
+    arguments, so a call builds the arguments it parses and no other's."""
     parser = argparse.ArgumentParser(
         prog="goldbach-lab",
         description="Verify two-prime decompositions and audit row relation sets.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text, arguments, func in _COMMANDS:
-        sub.add_parser(name, help=help_text, arguments=arguments).set_defaults(func=func)
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        if name == command:
+            arguments(p)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         _check_paths(args.output, getattr(args, "checkpoint", None))
-        return args.func(args)
+        _emit(args.func(args), args.output)
+        return 0
     except (GoldbachLabError, OSError, ValueError) as exc:  # OSError: an unusable path
         print(f"error: {exc}", file=sys.stderr)
         return 2

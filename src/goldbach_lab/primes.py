@@ -216,15 +216,17 @@ def sieve_segment(lo: int, hi: int) -> PrimeSegment:
 
 
 def iter_segments(lo: int, hi: int, *, cap: int = SEGMENT_CAP) -> Iterator[PrimeSegment]:
-    """Yield consecutive cap-sized segments covering [lo, hi]; each holds the
-    core's bytearray without a copy."""
+    """Consecutive cap-sized segments covering [lo, hi]; each holds the
+    core's bytearray without a copy.  The span is checked at the call."""
     if lo < 1 or lo > hi:
         raise InvalidInterval(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
     if hi >= _WORD_LIMIT:  # refused here, not at the first segment past it
         raise OutOfBounds(f"sieve domain is [1, 2**64): got hi = {hi}")
-    for start in range(lo, hi + 1, cap):
-        end = min(start + cap - 1, hi)
-        yield PrimeSegment(start, end, _odd_digits(start | 1, end))
+    return (
+        PrimeSegment(start, end, _odd_digits(start | 1, end))
+        for start in range(lo, hi + 1, cap)
+        for end in (min(start + cap - 1, hi),)
+    )
 
 
 def prime_count(lo: int, hi: int) -> int:

@@ -31,8 +31,10 @@ from math import isqrt
 from typing import Iterator, Optional
 
 from .dc import dc_min
-from .errors import CheckpointMismatch, GoldbachCounterexample, NotEven, OutOfBounds
-from .primes import _WORD_LIMIT, _odd_digits, base_primes
+from .errors import (
+    CheckpointMismatch, GoldbachCounterexample, NotEven, OutOfBounds, SegmentTooLarge
+)
+from .primes import _WORD_LIMIT, SEGMENT_CAP, _odd_digits, base_primes
 
 BLOCK_EVENS = 1 << 16  # fewest evens handed to a worker at a time
 _MAX_BLOCK_EVENS = 1 << 20  # most evens in one block, whatever the magnitude
@@ -87,6 +89,8 @@ def verify_block(lo: int, hi: int) -> list[int]:
     if not 4 <= lo <= hi:
         raise ValueError(f"need 4 <= lo <= hi, got [{lo}, {hi}]")
     seg_lo = max(2, lo - _PAIR_PRIME_BOUND)
+    if hi - seg_lo + 1 > SEGMENT_CAP:  # run_verify's blocks stay far below it
+        raise SegmentTooLarge(f"span {hi - seg_lo + 1} exceeds cap {SEGMENT_CAP}")
     # bit k of not_prime: hi - 1 - 2k is not prime; bit j of unresolved: hi - 2j
     not_prime = int(_odd_digits(seg_lo | 1, hi), 2)
     if seg_lo == 2:  # bits above the top odd stand for 1 and below: never a partner

@@ -334,6 +334,65 @@ class TestEmit:
         assert out.writes == ["one string\n" * 1000]
 
 
+# One small request per subcommand; each must write its output exactly once.
+EVERY_COMMAND = [
+    ["verify", "--from", "4", "--to", "100", "--format", "json"],
+    ["audit", "--from", "1", "--to", "20", "--row-width", "10", "--format", "json"],
+    ["census", "--from", "1", "--to", "20", "--row-width", "10", "--format", "csv"],
+    ["dc", "8", "--pairs"],
+    ["sieve", "--from", "1", "--to", "10", "--list"],
+    ["partition", "--from", "1", "--to", "20", "--row-width", "10"],
+]
+# the engine each of those calls, a global of goldbach_lab.cli
+ENGINES = ["run_verify", "audit_range", "census_range", "dc_min", "sieve_segment", "partition_rows"]
+
+
+def joined(output):
+    """A handler's output as one string: it is a str or an iterable of chunks."""
+    return output if isinstance(output, str) else "".join(output)
+
+
+def record_emits(monkeypatch):
+    """Replace cli._emit; the returned list gets the text of each call."""
+    calls = []
+    monkeypatch.setattr(cli, "_emit", lambda chunks, path: calls.append(joined(chunks)))
+    return calls
+
+
+class TestOneWrite:
+    @pytest.mark.parametrize("argv", EVERY_COMMAND, ids=lambda argv: argv[0])
+    def test_main_writes_once_what_the_handler_returns(self, argv, monkeypatch, capsys):
+        args = cli.build_parser(argv[0]).parse_args(argv)
+        returned = joined(args.func(args))
+        emitted = record_emits(monkeypatch)
+        assert main(argv) == 0
+        assert emitted == [returned] and returned
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["census", "--from", "1", "--to", "100", "--row-width", "7"],
+        ["audit", "--from", "1", "--to", "100", "--row-width", "7"],
+        ["verify", "--from", "5", "--to", "100"],
+        ["sieve", "--from", "10", "--to", "1"],
+    ], ids=["census-width", "audit-width", "verify-odd", "sieve-reversed"])
+    def test_a_refused_request_writes_nothing(self, argv, monkeypatch, capsys):
+        emitted = record_emits(monkeypatch)
+        assert main(argv) == 2
+        assert emitted == []
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("name, argv", list(zip(ENGINES, EVERY_COMMAND)), ids=ENGINES)
+    def test_handlers_call_the_engines_through_the_module_globals(
+        self, name, argv, monkeypatch, capsys
+    ):
+        # a tracer rebinds these names in goldbach_lab.cli; the handlers must see it
+        calls = []
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, **kw: calls.append(a) or real(*a, **kw))
+        assert main(argv) == 0
+        assert len(calls) == 1
+
+
 class TestParser:
     @pytest.mark.parametrize(
         "argv",
@@ -362,6 +421,13 @@ class TestInstalledEntryPoint:
         assert json.loads(proc.stdout)["payload"]["witness"] == [3, 5]
 
 
+@pytest.fixture
+def cap_address_space():
+    """A child's preexec_fn: under 1 GiB, a regression fails fast instead of allocating."""
+    resource = pytest.importorskip("resource")
+    return lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
 class TestSieveDomain:
     """From 2**64 up the base-prime table alone would need 4 GiB: refuse, exit 2."""
 
@@ -371,12 +437,7 @@ class TestSieveDomain:
          ("audit", ["--row-width", "11"])],
         ids=["sieve", "verify", "census", "audit"],
     )
-    def test_refused_at_two_to_the_64(self, command, extra):
-        resource = pytest.importorskip("resource")
-
-        def cap_address_space():  # a regression fails fast instead of allocating
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
+    def test_refused_at_two_to_the_64(self, command, extra, cap_address_space):
         n = 1 << 64
         proc = subprocess.run(
             [sys.executable, "-m", "goldbach_lab.cli", command,
@@ -389,20 +450,26 @@ class TestSieveDomain:
         assert proc.returncode == 2, proc.stderr
         assert "2**64" in proc.stderr
 
+    # 12 divides 2**64 + 8, so at width 12 the span has ~1.5e18 rows to list
     @pytest.mark.parametrize(
         "argv",
         [["census", "--from", "1", "--row-width", str((1 << 64) + 8)],
          ["audit", "--from", "1", "--row-width", str((1 << 64) + 8)],
+         ["census", "--from", "1", "--row-width", "12"],
+         ["audit", "--from", "1", "--row-width", "12"],
          ["verify", "--from", "4", "--workers", "2"]],
-        ids=["census", "audit", "verify"],
+        ids=["census", "audit", "census-rows", "audit-rows", "verify"],
     )
-    def test_a_span_ending_past_two_to_the_64_is_refused_before_any_work(self, argv, tmp_path):
+    def test_a_span_ending_past_two_to_the_64_is_refused_before_any_work(
+        self, argv, tmp_path, cap_address_space
+    ):
         checkpoint = tmp_path / "cp.json"
         extra = ["--checkpoint", str(checkpoint)] if argv[0] == "verify" else []
         proc = subprocess.run(
             [sys.executable, "-m", "goldbach_lab.cli", *argv, "--to", str((1 << 64) + 8), *extra],
             capture_output=True,
             text=True,
+            preexec_fn=cap_address_space,
             timeout=5,
         )
         assert proc.returncode == 2, proc.stderr

@@ -1,4 +1,4 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package uses each name it imports, and every line fits in 100 columns."""
 
 import ast
 import os
@@ -62,3 +62,13 @@ def test_every_private_definition_is_used():
     defined = {name for tree in trees for name in top_level_private_names(tree)}
     assert defined, "no private definitions found"
     assert sorted(defined - loaded) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_line_fits_in_100_columns(path):
+    long_lines = [
+        f"{path.name}:{number}: {len(line)} columns"
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if len(line) > 100
+    ]
+    assert long_lines == []

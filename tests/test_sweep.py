@@ -12,7 +12,8 @@ import goldbach_lab
 from goldbach_lab import sweep
 from goldbach_lab.cli import main
 from goldbach_lab.dc import dc_min, goldbach_pairs
-from goldbach_lab.errors import CheckpointMismatch, NotEven, OutOfBounds
+from goldbach_lab.errors import CheckpointMismatch, NotEven, OutOfBounds, SegmentTooLarge
+from goldbach_lab.primes import SEGMENT_CAP
 from goldbach_lab.sweep import (
     CHECKPOINT_VERSION,
     SweepCheckpoint,
@@ -148,6 +149,25 @@ class TestVerifyBlock:
         monkeypatch.setattr(sweep, "_odd_digits", no_primes)
         assert verify_block(lo, lo + 40) == []
         assert seen == list(range(lo, lo + 41, 2))
+
+    # the sieved window of a block from 10^6 is [10^6 - B, hi]
+    CAPPED = (10**6, 10**6 - B + SEGMENT_CAP - 2)  # the widest even hi under the cap
+
+    @pytest.mark.parametrize("lo, hi", [(4, 4 * 10**9), (CAPPED[0], CAPPED[1] + 2)])
+    def test_a_block_over_the_segment_cap_is_refused_before_sieving(self, monkeypatch, lo, hi):
+        sieved = []
+        monkeypatch.setattr(sweep, "_odd_digits", lambda first_odd, hi: sieved.append(hi))
+        with pytest.raises(SegmentTooLarge, match="exceeds cap"):
+            verify_block(lo, hi)
+        assert sieved == []
+
+    def test_the_widest_block_under_the_cap_reaches_the_sieve(self, monkeypatch):
+        def refuse(first_odd, hi):  # stop there: this test needs the call, not the sieve
+            raise OutOfBounds(f"sieve called up to {hi}")
+
+        monkeypatch.setattr(sweep, "_odd_digits", refuse)
+        with pytest.raises(OutOfBounds, match=f"sieve called up to {self.CAPPED[1]}"):
+            verify_block(*self.CAPPED)
 
 
 def record_fallback(monkeypatch):

@@ -1,24 +1,37 @@
 """Checkpointed bulk verification that every even splits into two primes.
 
 The fast path works blockwise on big-integer bitsets.  The sieve core
-writes one digit per odd of the segment, ``1`` for not prime, and
-``int(digits, 2)`` reads them as ``not_prime``: bit k is set exactly when
-``hi - 1 - 2k`` is not prime.  Bit j of ``unresolved`` stands for the even
-``hi - 2j``, which is p + q for an odd prime p exactly when bit j + (p >> 1)
-of ``not_prime`` is clear; so one shift by ``p >> 1`` and one AND per small
-odd prime resolve a whole block (4 = 2 + 2 is the only sum using the even
-prime).  Evens left unresolved by every small prime (none are expected
-below the known search records) go in ascending order to the exhaustive dc
-search, which either produces a pair or reports the even as a failure.
+writes one digit per odd of the segment, ``1`` for not prime; counted from
+the end, digit k stands for the odd ``hi - 1 - 2k``.  Bit j of a block's
+bitset stands for the even ``hi - 2j``, which is p + q for an odd prime p
+exactly when the odd k = j + (p >> 1) is prime (4 = 2 + 2 is the only sum
+using the even prime).
+
+Both sides are split by index mod 3, as in the bitset search of Oliveira e
+Silva, Herzog & Pardi (Math. Comp. 83 (2014) 2033-2060): bit i of
+``unresolved[c]`` stands for j = 3i + c, and bit i of ``not_prime[m]``, read
+with one ``int(digits[start::3], 2)``, for k = 3i + m.  For each small odd
+prime p, with s, m = divmod(c + (p >> 1), 3), class c is ANDed with class m
+shifted right by s, and each class stops once it is empty.  The odd class
+k = 1 - hi (mod 3) holds the odd multiples of 3, none of them prime unless
+the sieved window holds 3 itself, so outside that window it gets no int and
+no AND: a third of the digit reading and of every prime's shift and AND.
+Evens left unresolved by every small prime (none are expected below the
+known search records) go in ascending order to the exhaustive dc search,
+which either produces a pair or reports the even as a failure.
 
 A block holds the power of two just above sqrt(to) evens, but at least
 ``BLOCK_EVENS`` and at most 2^20.  The sieve walks every base prime up to
 sqrt(hi) once per block, so blocks sized to sqrt(hi) keep that walk from
 dominating at high magnitudes, and the cap bounds a block's memory.  The
-size depends on the sweep's last even alone, so the blocks, and with them
-the output, are the same at any worker count and after a resume.  The plan
-is a ``range`` of block starts, so it costs the same at any span; N workers,
-this process and N - 1 forked children, take slices of it round-robin.
+floor is 2^18 because the class split adds Python work per block, three
+loops over the primes and three reads, that a smaller block does not repay:
+per even, a 2^18-even block at 10^7 costs about three quarters of a 2^16
+one.  The size depends on the sweep's last even alone, so the blocks, and
+with them the output, are the same at any worker count and after a resume.
+The plan is a ``range`` of block starts, so it costs the same at any span;
+N workers, this process and N - 1 forked children, take slices of it
+round-robin.
 """
 
 from __future__ import annotations
@@ -34,9 +47,9 @@ from .dc import dc_min
 from .errors import (
     CheckpointMismatch, GoldbachCounterexample, NotEven, OutOfBounds, SegmentTooLarge
 )
-from .primes import _WORD_LIMIT, SEGMENT_CAP, _odd_digits, base_primes
+from .primes import _COMPOSITE, _WORD_LIMIT, SEGMENT_CAP, _odd_digits, base_primes
 
-BLOCK_EVENS = 1 << 16  # fewest evens handed to a worker at a time
+BLOCK_EVENS = 1 << 18  # fewest evens in a block, which repays the mod-3 split's Python
 _MAX_BLOCK_EVENS = 1 << 20  # most evens in one block, whatever the magnitude
 DEFAULT_CHECKPOINT_STRIDE = 1 << 20  # evens between checkpoint writes
 CHECKPOINT_VERSION = 1
@@ -91,25 +104,38 @@ def verify_block(lo: int, hi: int) -> list[int]:
     seg_lo = max(2, lo - _PAIR_PRIME_BOUND)
     if hi - seg_lo + 1 > SEGMENT_CAP:  # run_verify's blocks stay far below it
         raise SegmentTooLarge(f"span {hi - seg_lo + 1} exceeds cap {SEGMENT_CAP}")
-    # bit k of not_prime: hi - 1 - 2k is not prime; bit j of unresolved: hi - 2j
-    not_prime = int(_odd_digits(seg_lo | 1, hi), 2)
-    if seg_lo == 2:  # bits above the top odd stand for 1 and below: never a partner
-        not_prime |= -1 << (hi // 2 - 1)
+    digits = _odd_digits(seg_lo | 1, hi)  # the last digit stands for hi - 1
+    if seg_lo == 2:  # digits before the one for 3 stand for 1 and below: never a partner
+        digits[:0] = _COMPOSITE * (_PAIR_PRIME_BOUND // 2)
+    # bit i of not_prime[m]: hi - 1 - 2(3i + m) is not prime; the class of
+    # odd multiples of 3 is all ones unless the window holds 3 (see above)
+    threes = (1 - hi) % 3 if seg_lo > 3 else None
+    top = len(digits) - 1  # a class is empty only in a window of under 3 odds, and never read
+    not_prime = [
+        None if m == threes else int(digits[(top - m) % 3 :: 3] or _COMPOSITE, 2) for m in range(3)
+    ]
+    # bit i of unresolved[c]: the even hi - 2(3i + c)
     evens = (hi - lo) // 2 + 1
-    unresolved = (1 << evens) - 1
-    if lo == 4:
-        unresolved &= ~(1 << ((hi - 4) // 2))  # 4 = 2 + 2, the one sum using 2
-    for p in base_primes(_PAIR_PRIME_BOUND)[1:]:
-        unresolved &= not_prime >> (p >> 1)  # hi - 2j - p = hi - 1 - 2(j + (p >> 1))
-        if not unresolved:
-            return []
+    unresolved = [(1 << len(range(c, evens, 3))) - 1 for c in range(3)]
+    if lo == 4:  # 4 = 2 + 2, the one sum using 2
+        i, c = divmod((hi - 4) // 2, 3)
+        unresolved[c] &= ~(1 << i)
+    primes = base_primes(_PAIR_PRIME_BOUND)[1:]
+    pending = []
+    for c, u in enumerate(unresolved):
+        for p in primes:
+            if not u:
+                break
+            s, m = divmod(c + (p >> 1), 3)  # hi - 2(3i + c) - p = hi - 1 - 2(3(i + s) + m)
+            if m != threes:
+                u &= not_prime[m] >> s
+        pending += (hi - 2 * (3 * i + c) for i, bit in enumerate(f"{u:b}"[::-1]) if bit == "1")
     failures = []
-    for i, bit in enumerate(f"{unresolved:0{evens}b}"):  # digit i stands for lo + 2i
-        if bit == "1":
-            try:
-                dc_min(lo + 2 * i)
-            except GoldbachCounterexample as exc:
-                failures.append(exc.target)
+    for n in sorted(pending):
+        try:
+            dc_min(n)
+        except GoldbachCounterexample as exc:
+            failures.append(exc.target)
     return failures
 
 

@@ -189,7 +189,8 @@ class TestAuditRange:
         assert sequential == parallel
 
     def test_pooled_pair_pass_does_not_change_the_result(self):
-        rng = Range(1, 131_300)  # just over 2^17 integers
+        # the multiple of the row width just over two blocks' integers
+        rng = Range(1, (2 * sweep.BLOCK_EVENS // 100 + 1) * 100)
         assert len(sweep._blocks(4, rng.end)) == 2  # so two workers are forked
         assert audit_range(rng, 100) == audit_range(rng, 100, workers=2)
 

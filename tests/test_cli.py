@@ -4,8 +4,9 @@ import sys
 
 import pytest
 
-from goldbach_lab import cli
+from goldbach_lab import cli, sweep
 from goldbach_lab.cli import main
+from goldbach_lab.sweep import CHECKPOINT_VERSION, SweepCheckpoint, write_checkpoint
 
 
 def run_cli(capsys, *argv):
@@ -150,6 +151,23 @@ class TestVerifyCommand:
         }
         assert "elapsed" not in out
         assert "s" in err  # timing goes to stderr
+
+    def test_json_is_byte_identical_at_any_worker_count_and_after_a_resume(
+        self, capsys, tmp_path
+    ):
+        # five blocks, so two and eight workers both fork
+        to = 2 * (4 * sweep.BLOCK_EVENS + sweep.BLOCK_EVENS // 2)
+        argv = ["verify", "--from", "4", "--to", str(to), "--format", "json"]
+        outputs = [run_cli(capsys, *argv, "--workers", w)[1] for w in ("1", "2", "8")]
+        path = str(tmp_path / "cp.json")
+        after_two_blocks = sweep._blocks(4, to)[2] - 2
+        t0 = "2024-01-01T00:00:00Z"
+        write_checkpoint(
+            path, SweepCheckpoint(CHECKPOINT_VERSION, 4, to, after_two_blocks, (), t0, t0)
+        )
+        outputs.append(run_cli(capsys, *argv, "--workers", "2", "--checkpoint", path)[1])
+        assert json.loads(outputs[0])["payload"]["verified"] == to // 2 - 1
+        assert outputs[1:] == outputs[:1] * 3
 
     def test_checkpoint_mismatch_exit_two(self, capsys, tmp_path):
         path = str(tmp_path / "cp.json")

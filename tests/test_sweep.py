@@ -35,6 +35,14 @@ HIGH_HI = HIGH_LO + 2 * ((1 << 20) + (1 << 12))
 B = sweep._PAIR_PRIME_BOUND
 AT_THE_CLAMP = [(B, B + 200), (B + 2, B + 200), (B + 4, B + 200)]
 
+# the last evens of spans from 4 that the plan cuts into one, three and
+# five blocks of BLOCK_EVENS evens, the last block short; from 4 to last
+# there are last // 2 - 1 evens
+E = sweep.BLOCK_EVENS
+ONE_BLOCK_TO = E
+THREE_BLOCKS_TO = 2 * (2 * E + E // 4)
+FIVE_BLOCKS_TO = 2 * (4 * E + E // 2)
+
 # two blocks at 2^64: run_verify refuses the span before any block
 TOO_HIGH_LO = 1 << 64
 TOO_HIGH_HI = TOO_HIGH_LO + 2 * sweep._MAX_BLOCK_EVENS
@@ -62,9 +70,9 @@ def src_env():
 
 
 def refuse_block_one(monkeypatch):
-    """Make verify_block raise OutOfBounds for block 1 of [4, 300000], which
-    worker 1 of two verifies first, in whichever process verifies it."""
-    block = block_pairs(4, 300_000)[1]
+    """Make verify_block raise OutOfBounds for block 1 of [4, THREE_BLOCKS_TO],
+    which worker 1 of two verifies first, in whichever process verifies it."""
+    block = block_pairs(4, THREE_BLOCKS_TO)[1]
     real_verify_block = sweep.verify_block
 
     def refusing_verify_block(lo, hi):
@@ -137,6 +145,40 @@ class TestVerifyBlock:
         monkeypatch.setattr(sweep, "_odd_digits", no_primes)
         assert verify_block(lo, hi) == []
         assert seen == [n for n in range(lo, hi + 1, 2) if n != 4]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        bound=st.sampled_from([2, 3, 5, 7, 31, B]),
+        where=st.sampled_from(["4-6-8", "holds 3", "above"]),
+        sixes=st.integers(0, 10**6),
+        residue=st.integers(0, 2),
+        length=st.tuples(st.integers(0, 100), st.integers(0, 2)),
+        sieve=st.sampled_from(["real", "no primes"]),
+    )
+    def test_the_fallback_gets_exactly_the_evens_past_the_bound(
+        self, bound, where, sixes, residue, length, sieve
+    ):
+        # The mask pass splits its bits by residue mod 3 and skips the odd
+        # multiples of 3 unless the sieved window holds 3 itself; neither may
+        # change which evens reach dc_min.  Each lo moves by 2 * residue, so
+        # it takes every residue mod 3.
+        if where == "4-6-8":
+            lo = 4 + 2 * residue
+        elif where == "holds 3":  # lo - bound <= 3: the window starts at 3
+            lo = max(4, (bound + 3 - 6 * (sixes % 4) - 2 * residue) // 2 * 2)
+        else:
+            lo = bound + 6 + 6 * sixes + 2 * residue - bound % 2
+        hi = lo + 2 * (3 * length[0] + length[1])  # 3q + t evens, t in {1, 2, 3}
+        expected = [n for n in range(lo, hi + 1, 2) if n != 4]
+        with pytest.MonkeyPatch.context() as mp:
+            seen = record_fallback(mp)
+            mp.setattr(sweep, "_PAIR_PRIME_BOUND", bound)
+            if sieve == "no primes":
+                mp.setattr(sweep, "_odd_digits", no_primes)
+            else:
+                expected = [n for n in expected if dc_min(n).witness[0] > bound]
+            assert verify_block(lo, hi) == []
+        assert seen == expected
 
     @pytest.mark.parametrize("lo", [32, 34, 36])
     def test_partner_one_is_no_prime_at_a_prime_bound(self, monkeypatch, lo):
@@ -220,7 +262,7 @@ class TestBlocks:
 
     @pytest.mark.parametrize(
         "last, evens",
-        [(10**7, 1 << 16), (10**9, 1 << 16), (10**10, 1 << 17), (10**12, 1 << 20),
+        [(10**7, E), (10**9, E), (10**10, E), (10**11, 1 << 19), (10**12, 1 << 20),
          (10**14, 1 << 20), (10**18, 1 << 20), (2**64 - 2, 1 << 20)],
     )
     def test_block_size_follows_the_square_root_of_the_last_even(self, last, evens):
@@ -253,25 +295,25 @@ class TestRunVerify:
             run_verify(100, 4)
 
     def test_worker_count_does_not_change_summary(self):
-        one = run_verify(4, 3 * (1 << 17))
-        four = run_verify(4, 3 * (1 << 17), workers=4)
+        one = run_verify(4, THREE_BLOCKS_TO)
+        four = run_verify(4, THREE_BLOCKS_TO, workers=4)
         assert (one.verified, one.failures) == (four.verified, four.failures)
 
     def test_pool_has_no_more_processes_than_blocks(self, forks):
-        assert len(sweep._blocks(4, 300_000)) == 3
-        summary = run_verify(4, 300_000, workers=8)
-        assert (summary.verified, summary.failures) == (149_999, ())
+        assert len(sweep._blocks(4, THREE_BLOCKS_TO)) == 3
+        summary = run_verify(4, THREE_BLOCKS_TO, workers=8)
+        assert (summary.verified, summary.failures) == (THREE_BLOCKS_TO // 2 - 1, ())
         assert len(forks) == 2  # this process is worker 0
-        run_verify(4, 300_000, workers=2)
+        run_verify(4, THREE_BLOCKS_TO, workers=2)
         assert len(forks) == 3
-        assert len(sweep._blocks(4, 100_000)) == 1
-        run_verify(4, 100_000, workers=4)
-        run_verify(4, 300_000, workers=1)
+        assert len(sweep._blocks(4, ONE_BLOCK_TO)) == 1
+        run_verify(4, ONE_BLOCK_TO, workers=4)
+        run_verify(4, THREE_BLOCKS_TO, workers=1)
         assert len(forks) == 3  # one block or one worker forks nothing
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_the_parent_verifies_worker_zeros_share(self, monkeypatch, forks, workers):
-        blocks = block_pairs(4, 600_000)
+        blocks = block_pairs(4, FIVE_BLOCKS_TO)
         parent = os.getpid()
         real_verify_block = sweep.verify_block
         verified_here = []
@@ -282,15 +324,15 @@ class TestRunVerify:
             return real_verify_block(lo, hi)
 
         monkeypatch.setattr(sweep, "verify_block", recording_verify_block)
-        summary = run_verify(4, 600_000, workers=workers)
-        assert (summary.verified, summary.failures) == (299_999, ())
+        summary = run_verify(4, FIVE_BLOCKS_TO, workers=workers)
+        assert (summary.verified, summary.failures) == (FIVE_BLOCKS_TO // 2 - 1, ())
         assert len(forks) == workers - 1
         assert verified_here == blocks[0::workers]
 
     def test_a_dead_worker_leaves_its_blocks_to_the_parent(self, monkeypatch, forks):
-        blocks = block_pairs(4, 600_000)
+        blocks = block_pairs(4, FIVE_BLOCKS_TO)
         assert len(blocks) == 5
-        one = run_verify(4, 600_000)
+        one = run_verify(4, FIVE_BLOCKS_TO)
         parent = os.getpid()
         real_verify_block = sweep.verify_block
         verified_here = []
@@ -303,7 +345,7 @@ class TestRunVerify:
             return real_verify_block(lo, hi)
 
         monkeypatch.setattr(sweep, "verify_block", dying_verify_block)
-        three = run_verify(4, 600_000, workers=3)
+        three = run_verify(4, FIVE_BLOCKS_TO, workers=3)
         assert (three.verified, three.failures) == (one.verified, one.failures)
         assert len(forks) == 2
         # worker 0's share and dead worker 1's; worker 2's came by pipe
@@ -311,19 +353,19 @@ class TestRunVerify:
 
     def test_failures_cross_the_pipes_in_block_order(self, monkeypatch, forks):
         monkeypatch.setattr(sweep, "verify_block", lambda lo, hi: [hi, lo] if lo % 3 else [])
-        one = run_verify(4, 600_000)
-        assert one.failures and one.verified == 299_999 - len(one.failures)
+        one = run_verify(4, FIVE_BLOCKS_TO)
+        assert one.failures and one.verified == FIVE_BLOCKS_TO // 2 - 1 - len(one.failures)
         for workers in (2, 3):
-            other = run_verify(4, 600_000, workers=workers)
+            other = run_verify(4, FIVE_BLOCKS_TO, workers=workers)
             assert (other.verified, other.failures) == (one.verified, one.failures)
         assert len(forks) == 3
 
     def test_a_worker_error_is_raised_as_at_one_worker(self, monkeypatch, forks):
         refuse_block_one(monkeypatch)
         with pytest.raises(OutOfBounds) as one:
-            run_verify(4, 300_000)
+            run_verify(4, THREE_BLOCKS_TO)
         with pytest.raises(OutOfBounds) as two:
-            run_verify(4, 300_000, workers=2)
+            run_verify(4, THREE_BLOCKS_TO, workers=2)
         assert str(two.value) == str(one.value)
         assert len(forks) == 1
 
@@ -355,14 +397,14 @@ class TestRunVerify:
         # itself, not garbage collection, can have stopped its workers
         raised = None
         if ending == "return":
-            run_verify(4, 300_000, workers=2)
+            run_verify(4, THREE_BLOCKS_TO, workers=2)
         elif ending == "raise":
             refuse_block_one(monkeypatch)
             with pytest.raises(OutOfBounds) as raised:
-                run_verify(4, 300_000, workers=2)
+                run_verify(4, THREE_BLOCKS_TO, workers=2)
         else:  # the first checkpoint, after block 0, goes to a missing directory
             with pytest.raises(FileNotFoundError) as raised:
-                run_verify(4, 300_000, workers=2, checkpoint_stride=1,
+                run_verify(4, THREE_BLOCKS_TO, workers=2, checkpoint_stride=1,
                            checkpoint_path=str(tmp_path / "missing" / "cp.json"))
         assert (raised is None) == (ending == "return")
         assert len(forks) == 1
@@ -376,22 +418,22 @@ class TestRunVerify:
             monkeypatch.setattr(
                 sweep, "write_checkpoint", lambda path, cp: positions.append(cp.last_verified)
             )
-            run_verify(4, 600_000, workers=workers, checkpoint_stride=1 << 16,
+            run_verify(4, FIVE_BLOCKS_TO, workers=workers, checkpoint_stride=E,
                        checkpoint_path=str(tmp_path / f"cp{workers}.json"))
         assert written[1] == written[2]
-        assert len(written[1]) == len(sweep._blocks(4, 600_000)) == 5
+        assert len(written[1]) == len(sweep._blocks(4, FIVE_BLOCKS_TO)) == 5
 
     def test_workers_and_checkpointing_compose(self, tmp_path):
         path = str(tmp_path / "cp.json")
         summary = run_verify(
             4,
-            4 * (1 << 17),
+            THREE_BLOCKS_TO,
             workers=2,
             checkpoint_path=path,
-            checkpoint_stride=1 << 16,
+            checkpoint_stride=E,
         )
         cp = read_checkpoint(path)
-        assert cp.last_verified == 4 * (1 << 17)
+        assert cp.last_verified == THREE_BLOCKS_TO
         assert cp.failures == summary.failures == ()
 
     def test_high_window_same_at_any_worker_count_and_after_resume(self, tmp_path):
@@ -595,8 +637,8 @@ class TestCheckpointFiles:
     def test_intermediate_checkpoints_respect_stride(self, tmp_path):
         path = str(tmp_path / "cp.json")
         # stride of one block: a checkpoint lands after every block but the last
-        run_verify(4, 4 * (1 << 17), checkpoint_path=path, checkpoint_stride=1 << 16)
-        assert read_checkpoint(path).last_verified == 4 * (1 << 17)
+        run_verify(4, THREE_BLOCKS_TO, checkpoint_path=path, checkpoint_stride=E)
+        assert read_checkpoint(path).last_verified == THREE_BLOCKS_TO
 
     def test_resume_from_midpoint_matches_fresh_run(self, tmp_path):
         path = str(tmp_path / "cp.json")
@@ -608,6 +650,36 @@ class TestCheckpointFiles:
         fresh = run_verify(4, 2 * 10**5)
         assert resumed.resumed_from == 10**5
         assert (resumed.verified, resumed.failures) == (fresh.verified, fresh.failures)
+
+    def test_resume_from_every_checkpoint_matches_the_uninterrupted_run(
+        self, monkeypatch, tmp_path
+    ):
+        # stride 1: a checkpoint after each of the five blocks but the last.
+        # Each block is verified and also reports its first even as a failure,
+        # so the failures show which blocks ran, and how often.
+        written = []
+        real_write_checkpoint = sweep.write_checkpoint
+        real_verify_block = sweep.verify_block
+
+        def recording_write_checkpoint(path, cp):
+            written.append(cp)
+            real_write_checkpoint(path, cp)
+
+        monkeypatch.setattr(sweep, "write_checkpoint", recording_write_checkpoint)
+        monkeypatch.setattr(sweep, "verify_block", lambda lo, hi: real_verify_block(lo, hi) + [lo])
+        fresh = run_verify(4, FIVE_BLOCKS_TO, checkpoint_path=str(tmp_path / "cp.json"),
+                           checkpoint_stride=1)
+        blocks = block_pairs(4, FIVE_BLOCKS_TO)
+        assert [cp.last_verified for cp in written] == [hi for _, hi in blocks]
+        assert fresh.failures == tuple(lo for lo, _ in blocks)
+        for cp in written[:-1]:
+            for workers in (1, 2):
+                path = str(tmp_path / f"cp{cp.last_verified}-{workers}.json")
+                real_write_checkpoint(path, cp)
+                resumed = run_verify(4, FIVE_BLOCKS_TO, workers=workers, checkpoint_path=path,
+                                     checkpoint_stride=1)
+                assert resumed.resumed_from == cp.last_verified
+                assert (resumed.verified, resumed.failures) == (fresh.verified, fresh.failures)
 
     def test_resume_of_completed_run_is_a_no_op(self, tmp_path):
         path = str(tmp_path / "cp.json")

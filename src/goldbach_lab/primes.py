@@ -19,8 +19,19 @@ prime: primes below the square root of the window's first odd that are at
 most its number of odds, which always strike; larger such primes, which
 strike at most once; and primes whose square is in the window, which
 strike from it.  Strikes assign a repeated 1-byte bytearray, prebuilt for
-the short runs, because CPython first copies any other right-hand side of
-an extended-slice assignment into a temporary bytearray.
+runs shorter than ``_SHORT_RUN``, because CPython first copies any other
+right-hand side of an extended-slice assignment into a temporary
+bytearray; the always-strike loop is cut in two where its runs become
+short, so that neither half tests the length.
+
+In a window of two or more chunks of ``_CHUNK`` odds, the always-strike
+primes up to ``_CHUNK_PRIMES`` strike first, one chunk at a time, carrying
+each prime's next index to the next chunk, so that their many strikes land
+in a cache-sized buffer, as in the segmented sieves of Oliveira e Silva,
+Herzog & Pardi (Math. Comp. 83 (2014) 2033-2060) and primesieve; on the
+5,000,000-odd window of a census of 10^7 integers at 10^12 that halves
+their time.  A narrower window stays one pass, where chunks cost more than
+they save.
 """
 
 from __future__ import annotations
@@ -40,6 +51,8 @@ NTH_PRIME_LIMIT = 1 << 32  # largest value nth_prime will sieve toward
 _WORD_LIMIT = 1 << 64
 _BASE_TABLE_STEP = 1 << 16  # base-prime tables are built in multiples of this
 _PRIME_CHUNK = 1 << 16  # integers iter_primes sieves, and nth_prime counts, at a time
+_CHUNK = 1 << 20  # odds struck at a time by the small primes of a window of two or more
+_CHUNK_PRIMES = 1 << 14  # the small primes: each strikes a chunk at least 64 times
 
 # Sinclair's bases: Miller-Rabin with these is exact for every n < 2**64.
 _MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
@@ -139,22 +152,36 @@ def _odd_digits(first_odd: int, hi: int) -> bytearray:
     top = bisect_right(table, isqrt(hi))
     squares_in = bisect_right(table, isqrt(first_odd - 1), start, top)
     may_miss = bisect_right(table, n_odd, start, squares_in)
-    # Three loops, so that none tests a condition per prime.  Below
-    # squares_in, p * p < first_odd and the first strike is the first odd
-    # multiple of p at or past first_odd; from may_miss on, p > n_odd, so p
-    # strikes at most once and may miss the window.  From squares_in on,
+    last = n_odd - 1
+    # Below squares_in, p * p < first_odd and the first strike is the first
+    # odd multiple of p at or past first_odd; from may_miss on, p > n_odd, so
+    # p strikes at most once and may miss the window.  From squares_in on,
     # the first strike is p * p, which is at most hi.
-    for p in islice(table, start, may_miss):
+    small = start
+    if n_odd >= 2 * _CHUNK:  # the small primes strike one cached chunk at a time
+        small = bisect_right(table, _CHUNK_PRIMES, start, may_miss)
+        primes = table[start:small]
+        strikes = [((p >> 1) - h) % p for p in primes]  # each prime's next index
+        for end in range(_CHUNK, n_odd + _CHUNK, _CHUNK):
+            end = min(end, n_odd)
+            for j, (p, i) in enumerate(zip(primes, strikes)):
+                k = (end - 1 - i) // p + 1
+                digits[i:end:p] = _COMPOSITE * k
+                strikes[j] = i + k * p
+    short_runs = bisect_right(table, last // (_SHORT_RUN - 1), small, may_miss)
+    for p in islice(table, small, short_runs):
         i = ((p >> 1) - h) % p
-        k = (n_odd - 1 - i) // p + 1
-        digits[i::p] = _RUNS[k] if k < _SHORT_RUN else _COMPOSITE * k
+        digits[i::p] = _COMPOSITE * ((last - i) // p + 1)
+    for p in islice(table, short_runs, may_miss):  # each run is under _SHORT_RUN strikes
+        i = ((p >> 1) - h) % p
+        digits[i::p] = _RUNS[(last - i) // p + 1]
     for p in islice(table, may_miss, squares_in):
         i = ((p >> 1) - h) % p
         if i < n_odd:
             digits[i] = _COMPOSITE_DIGIT
     for p in islice(table, squares_in, top):
         i = (p * p >> 1) - h
-        k = (n_odd - 1 - i) // p + 1
+        k = (last - i) // p + 1
         digits[i::p] = _RUNS[k] if k < _SHORT_RUN else _COMPOSITE * k
     return digits
 

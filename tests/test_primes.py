@@ -1,6 +1,8 @@
 import functools
 import itertools
 import random
+from collections import Counter
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +21,7 @@ from goldbach_lab.primes import (
     sieve_segment,
 )
 
-from oracles import trial_is_prime, trial_primes_between
+from oracles import lucy_prime_pi, trial_is_prime, trial_primes_between
 
 
 class TestSieveSegment:
@@ -163,6 +165,68 @@ class TestOddDigits:
     def test_refused_from_two_to_the_64(self):
         with pytest.raises(OutOfBounds, match=r"2\*\*64"):
             _odd_digits((1 << 64) + 1, (1 << 64) + 10)  # refused before allocating
+
+
+@functools.lru_cache(maxsize=None)
+def pi(n):
+    """pi(n) from the Lucy_Hedgehog oracle, once per n: about 0.3 s near 10^9
+    and 1 s near 4 * 10^9."""
+    return lucy_prime_pi(n)
+
+
+def strike_loop_of_most_primes(first_odd, hi):
+    """The strike loop of the sieve core that takes most base primes past
+    the wheel, by the loops' definitions in the primes module docstring."""
+    n_odd = (hi - first_odd) // 2 + 1
+    loops = Counter()
+    for p in base_primes(isqrt(hi)):
+        if p <= 13:
+            continue
+        if p * p >= first_odd:
+            loops["from-square"] += 1
+        elif p > n_odd:
+            loops["at-most-once"] += 1
+        elif n_odd >= 2 * primes._CHUNK and p <= primes._CHUNK_PRIMES:
+            loops["chunked"] += 1
+        elif p <= (n_odd - 1) // (primes._SHORT_RUN - 1):
+            loops["long-runs"] += 1
+        else:
+            loops["short-runs"] += 1
+    ((loop, count),) = loops.most_common(1)
+    assert 2 * count > sum(loops.values())
+    return loop
+
+
+# (a, b]: whole windows of sweep size, chained so that they share their
+# ends and each Lucy count runs once
+NEAR_1E9 = list(itertools.accumulate([-(1 << 19), -(1 << 21), -(1 << 23)], initial=10**9))
+NEAR_4E9 = (4 * 10**9, 4 * 10**9 - (1 << 23))  # the base table still ends at 2^16
+WHOLE_WINDOWS = {
+    "chunked-2^23-near-1e9": (NEAR_1E9[3], NEAR_1E9[2]),
+    "long-runs-2^21-near-1e9": (NEAR_1E9[2], NEAR_1E9[1]),  # 2^20 odds: one pass
+    "short-runs-2^19-near-1e9": (NEAR_1E9[1], NEAR_1E9[0]),
+    "long-runs-2^23-near-4e9": (NEAR_4E9[1], NEAR_4E9[0]),  # and 30% chunked
+    "at-most-once-2^12-near-1e8": (10**8 - (1 << 12), 10**8),
+    "from-square-2^21-from-2^12": (1 << 12, 1 << 21),
+    "from-square-2^19-from-1": (0, 1 << 19),  # holds 2, and no wheel
+}
+
+
+class TestWholeWindowCounts:
+    """The sieve is exact over whole sweep-sized windows: its count of primes
+    equals Lucy_Hedgehog's pi(b) - pi(a), which shares no code with it."""
+
+    def test_lucy_matches_trial_division_and_the_published_pi_of_1e9(self):
+        running = list(itertools.accumulate(map(trial_is_prime, range(3000))))
+        assert [lucy_prime_pi(n) for n in range(3000)] == running
+        assert pi(10**9) == 50847534
+
+    @pytest.mark.parametrize("loop, a, b", [(name.split("-2^")[0], *ab) for name, ab in
+                                            WHOLE_WINDOWS.items()], ids=list(WHOLE_WINDOWS))
+    def test_digit_count_equals_lucy(self, loop, a, b):
+        first_odd = (a + 1) | 1
+        assert strike_loop_of_most_primes(first_odd, b) == loop
+        assert _odd_digits(first_odd, b).count(b"0") + (a < 2 <= b) == pi(b) - pi(a)
 
 
 def seeded_ranges(seed, near, span):

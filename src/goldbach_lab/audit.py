@@ -24,9 +24,9 @@ distinct tuple once, weighted by the rows or evens that hold it.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
+from ._record import Record
 from .census import RowCensus, census_range
 from .errors import GoldbachCounterexample
 from .rowrange import Range, Row
@@ -56,39 +56,51 @@ _DC_VALUE = 2  # DC(A) of every audited even A > 2 (module docstring)
 Number = Union[int, float]
 
 
-@dataclass(frozen=True)
-class RelationCheck:
+class RelationCheck(Record):
     """One evaluated relation: computed sides and the arithmetic verdict.
 
     ``rhs_value`` is a (low, high) pair for sandwich relations.  Halves such
     as m/2 are compared exactly in integers and reported as x.5 floats.
     """
 
-    relation_id: str
-    lhs_value: Number
-    rhs_value: Union[Number, tuple[int, int]]
-    holds: bool
-    detail: str = ""
+    __slots__ = ("relation_id", "lhs_value", "rhs_value", "holds", "detail")
+
+    def __init__(
+        self, relation_id: str, lhs_value: Number, rhs_value: Union[Number, tuple[int, int]],
+        holds: bool, detail: str = "",
+    ) -> None:
+        object.__setattr__(self, "relation_id", relation_id)
+        object.__setattr__(self, "lhs_value", lhs_value)
+        object.__setattr__(self, "rhs_value", rhs_value)
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class EvenAudit:
+class EvenAudit(Record):
     """Checks tied to one even number A > 2 inside a row."""
 
-    target: int
-    dc_value: int
-    checks: tuple[RelationCheck, ...]
+    __slots__ = ("target", "dc_value", "checks")
+
+    def __init__(self, target: int, dc_value: int, checks: tuple[RelationCheck, ...]) -> None:
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "dc_value", dc_value)
+        object.__setattr__(self, "checks", checks)
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(Record):
     """Full audit of one row: census, row checks and the ``even_checks`` that
     each even A > 2 of it gets; ``per_even`` expands them per even on demand."""
 
-    row: Row
-    census: RowCensus
-    row_checks: tuple[RelationCheck, ...]
-    even_checks: tuple[RelationCheck, ...]
+    __slots__ = ("row", "census", "row_checks", "even_checks")
+
+    def __init__(
+        self, row: Row, census: RowCensus, row_checks: tuple[RelationCheck, ...],
+        even_checks: tuple[RelationCheck, ...],
+    ) -> None:
+        object.__setattr__(self, "row", row)
+        object.__setattr__(self, "census", census)
+        object.__setattr__(self, "row_checks", row_checks)
+        object.__setattr__(self, "even_checks", even_checks)
 
     @property
     def evens(self) -> range:  # the row's evens A > 2
@@ -102,12 +114,16 @@ class AuditReport:
         return summarize([self])
 
 
-@dataclass(frozen=True)
-class RangeAudit:
+class RangeAudit(Record):
     """Audit reports for every row of a range plus aggregate counts."""
 
-    reports: tuple[AuditReport, ...]
-    summary: dict[str, dict[str, int]]
+    __slots__ = ("reports", "summary")
+
+    def __init__(
+        self, reports: tuple[AuditReport, ...], summary: dict[str, dict[str, int]]
+    ) -> None:
+        object.__setattr__(self, "reports", reports)
+        object.__setattr__(self, "summary", summary)
 
 
 def implication_eval(p: bool, q: bool, r: bool) -> tuple[bool, bool]:

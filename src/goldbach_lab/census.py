@@ -2,23 +2,24 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .primes import iter_segments
 from .rowrange import Range, Row, partition_rows
 
 
-@dataclass(frozen=True)
-class RowCensus:
+class RowCensus(Record):
     """Counts for one row: evens, odds, primes, and the total m.
 
     gamma_even + gamma_odd == m always; 1 counts as odd and not prime.
     """
 
-    gamma_even: int
-    gamma_odd: int
-    gamma_prime: int
-    m: int
+    __slots__ = ("gamma_even", "gamma_odd", "gamma_prime", "m")
+
+    def __init__(self, gamma_even: int, gamma_odd: int, gamma_prime: int, m: int) -> None:
+        object.__setattr__(self, "gamma_even", gamma_even)
+        object.__setattr__(self, "gamma_odd", gamma_odd)
+        object.__setattr__(self, "gamma_prime", gamma_prime)
+        object.__setattr__(self, "m", m)
 
 
 def _evens_between(lo: int, hi: int) -> int:

@@ -8,9 +8,9 @@ the search, so the two can cross-check each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 
+from ._record import Record
 from .errors import (
     AboveEnumerationCap,
     AboveOracleCap,
@@ -27,17 +27,19 @@ PAIR_CAP = 10**6
 _SMALL_PRIME_BOUND = 1 << 16
 
 
-@dataclass(frozen=True)
-class DcResult:
+class DcResult(Record):
     """Minimal prime-summand count for a target, with a verifying witness.
 
     The witness is an ascending tuple of primes summing to the target and
     its length equals ``value``.
     """
 
-    target: int
-    value: int
-    witness: tuple[int, ...]
+    __slots__ = ("target", "value", "witness")
+
+    def __init__(self, target: int, value: int, witness: tuple[int, ...]) -> None:
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "witness", witness)
 
 
 def _first_pair(target: int) -> tuple[int, int]:

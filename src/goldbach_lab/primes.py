@@ -37,12 +37,12 @@ they save.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, islice
 from math import isqrt, log
 from typing import Iterator
 
+from ._record import Record
 from .errors import InvalidInterval, OutOfBounds, SegmentTooLarge
 
 SEGMENT_CAP = 1 << 26  # max entries per sieved segment
@@ -186,8 +186,7 @@ def _odd_digits(first_odd: int, hi: int) -> bytearray:
     return digits
 
 
-@dataclass(frozen=True)
-class PrimeSegment:
+class PrimeSegment(Record):
     """The primes of a closed interval [lo, hi], as the sieve core's digits.
 
     digits[k] is ``0`` exactly when the k-th odd of [lo, hi], (lo | 1) + 2k,
@@ -198,9 +197,12 @@ class PrimeSegment:
     mutate or hash them.
     """
 
-    lo: int
-    hi: int
-    digits: bytes
+    __slots__ = ("lo", "hi", "digits")
+
+    def __init__(self, lo: int, hi: int, digits: bytes) -> None:
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "digits", digits)
 
     def _odds(self, lo: int, hi: int) -> tuple[int, int]:
         """Slice bounds of the digits of the odds of [lo, hi], within the segment."""

@@ -7,9 +7,9 @@ sweeps over hundreds of millions of integers cheap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence, Union
 
+from ._record import Record
 from .errors import (
     EmptyCandidate,
     NonDivisibleWidth,
@@ -18,16 +18,16 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class _Interval:
+class _Interval(Record):
     """The consecutive naturals {start, ..., end}, stored by endpoints only."""
 
-    start: int
-    end: int
+    __slots__ = ("start", "end")
 
-    def __post_init__(self):
-        if not 1 <= self.start <= self.end:
-            raise ValueError(f"need 1 <= start <= end, got ({self.start}, {self.end})")
+    def __init__(self, start: int, end: int) -> None:
+        if not 1 <= start <= end:
+            raise ValueError(f"need 1 <= start <= end, got ({start}, {end})")
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
 
     @property
     def size(self) -> int:
@@ -41,13 +41,16 @@ class _Interval:
 class Row(_Interval):
     """The consecutive naturals {start, start+1, ..., end}."""
 
+    __slots__ = ()
+
 
 class Range(_Interval):
     """The consecutive naturals {start, ..., end}; partitions into Rows."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class ValidationVerdict:
+
+class ValidationVerdict(Record):
     """Outcome of row/range validation.
 
     ``violations`` holds (property label, reason) pairs; ``accepted`` is true
@@ -55,9 +58,15 @@ class ValidationVerdict:
     is present only on acceptance.
     """
 
-    accepted: bool
-    violations: tuple[tuple[str, str], ...]
-    subject: Union[Row, Range, None] = None
+    __slots__ = ("accepted", "violations", "subject")
+
+    def __init__(
+        self, accepted: bool, violations: tuple[tuple[str, str], ...],
+        subject: Union[Row, Range, None] = None,
+    ) -> None:
+        object.__setattr__(self, "accepted", accepted)
+        object.__setattr__(self, "violations", violations)
+        object.__setattr__(self, "subject", subject)
 
 
 def _checked(candidate: Sequence[int]) -> list[int]:

@@ -39,10 +39,10 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import astuple, dataclass
 from math import isqrt
 from typing import Iterator, Optional
 
+from ._record import Record
 from .dc import dc_min
 from .errors import (
     CheckpointMismatch, GoldbachCounterexample, NotEven, OutOfBounds, SegmentTooLarge
@@ -51,7 +51,7 @@ from .primes import _COMPOSITE, _WORD_LIMIT, SEGMENT_CAP, _odd_digits, base_prim
 
 BLOCK_EVENS = 1 << 18  # fewest evens in a block, which repays the mod-3 split's Python
 _MAX_BLOCK_EVENS = 1 << 20  # most evens in one block, whatever the magnitude
-DEFAULT_CHECKPOINT_STRIDE = 1 << 20  # evens between checkpoint writes
+DEFAULT_CHECKPOINT_STRIDE = 1 << 26  # evens between checkpoint writes: 64 of the largest blocks
 CHECKPOINT_VERSION = 1
 
 _PAIR_PRIME_BOUND = 1 << 14  # small-prime budget before the exhaustive fallback
@@ -62,29 +62,43 @@ _STR_FIELDS = ("started_at", "updated_at")
 _CHECKPOINT_FIELDS = _INT_FIELDS + ("failures",) + _STR_FIELDS  # SweepCheckpoint's order
 
 
-@dataclass(frozen=True)
-class SweepCheckpoint:
+class SweepCheckpoint(Record):
     """Persistent sweep progress with a fixed, version-gated field set."""
 
-    version: int
-    from_even: int
-    to_even: int
-    last_verified: int
-    failures: tuple[int, ...]
-    started_at: str
-    updated_at: str
+    __slots__ = (
+        "version", "from_even", "to_even", "last_verified", "failures", "started_at", "updated_at"
+    )
+
+    def __init__(
+        self, version: int, from_even: int, to_even: int, last_verified: int,
+        failures: tuple[int, ...], started_at: str, updated_at: str,
+    ) -> None:
+        object.__setattr__(self, "version", version)
+        object.__setattr__(self, "from_even", from_even)
+        object.__setattr__(self, "to_even", to_even)
+        object.__setattr__(self, "last_verified", last_verified)
+        object.__setattr__(self, "failures", failures)
+        object.__setattr__(self, "started_at", started_at)
+        object.__setattr__(self, "updated_at", updated_at)
 
 
-@dataclass(frozen=True)
-class SweepSummary:
+class SweepSummary(Record):
     """Outcome of one verify run; elapsed time never enters serialized payloads."""
 
-    from_even: int
-    to_even: int
-    verified: int
-    failures: tuple[int, ...]
-    elapsed_seconds: float
-    resumed_from: Optional[int] = None
+    __slots__ = (
+        "from_even", "to_even", "verified", "failures", "elapsed_seconds", "resumed_from"
+    )
+
+    def __init__(
+        self, from_even: int, to_even: int, verified: int, failures: tuple[int, ...],
+        elapsed_seconds: float, resumed_from: Optional[int] = None,
+    ) -> None:
+        object.__setattr__(self, "from_even", from_even)
+        object.__setattr__(self, "to_even", to_even)
+        object.__setattr__(self, "verified", verified)
+        object.__setattr__(self, "failures", failures)
+        object.__setattr__(self, "elapsed_seconds", elapsed_seconds)
+        object.__setattr__(self, "resumed_from", resumed_from)
 
 
 def _utcnow() -> str:
@@ -206,14 +220,14 @@ def _blocks(first: int, last: int) -> range:
 
 
 def checkpoint_to_json(cp: SweepCheckpoint) -> str:
-    return json.dumps(dict(zip(_CHECKPOINT_FIELDS, astuple(cp))), sort_keys=True) + "\n"
+    return json.dumps(dict(zip(_CHECKPOINT_FIELDS, cp._values)), sort_keys=True) + "\n"
 
 
 def checkpoint_from_json(text: str) -> SweepCheckpoint:
     """Parse and validate a checkpoint document; reject anything off-contract."""
     try:
         doc = json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: arrays nested too deep
         raise CheckpointMismatch(f"checkpoint is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise CheckpointMismatch("checkpoint is not a JSON object")
@@ -246,7 +260,11 @@ def checkpoint_from_json(text: str) -> SweepCheckpoint:
 
 def read_checkpoint(path: str) -> SweepCheckpoint:
     with open(path, "r", encoding="utf-8") as fh:
-        return checkpoint_from_json(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise CheckpointMismatch(f"checkpoint is not UTF-8 text: {exc}") from None
+    return checkpoint_from_json(text)
 
 
 def write_checkpoint(path: str, cp: SweepCheckpoint) -> None:

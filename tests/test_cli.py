@@ -179,6 +179,18 @@ class TestVerifyCommand:
         assert code == 2
         assert "checkpoint" in err
 
+    @pytest.mark.parametrize("content", [
+        b"[" * 200_000 + b"]" * 200_000, b'{"version": 1, "started_at": "\xff"}',
+    ], ids=["nested-too-deep", "invalid-utf8"])
+    def test_damaged_checkpoint_exit_two(self, capsys, tmp_path, content):
+        path = tmp_path / "cp.json"
+        path.write_bytes(content)
+        code, _, err = run_cli(
+            capsys, "verify", "--from", "4", "--to", "1000", "--checkpoint", str(path)
+        )
+        assert code == 2
+        assert err.startswith("error: checkpoint is not ")
+
 
 class TestAuditCommand:
     def test_json_deterministic_across_runs_and_workers(self, capsys):

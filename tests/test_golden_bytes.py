@@ -147,6 +147,17 @@ LIBRARY_AUDIT_DIGESTS = {
 }
 
 
+@pytest.mark.parametrize("entry_chars", [30, 3000, 40_000])
+def test_entry_chunks_are_sized_in_characters(entry_chars):
+    pieces = ["<", "x" * entry_chars, ">"]
+    evens = range(4, 5004, 2)
+    chunks = list(serialize._entries(evens, pieces, ","))
+    assert "".join(chunks) == ",".join(str(a).join(pieces) for a in evens)
+    longest = max(map(len, chunks))
+    assert len(chunks) > 1 and longest <= max(serialize._CHUNK_CHARS, entry_chars + 11)
+    assert list(serialize._entries(range(4, 4, 2), pieces, ",")) == []
+
+
 @pytest.mark.parametrize("relations", list(LIBRARY_AUDIT_DIGESTS), ids=" ".join)
 def test_audit_renderer_chunks_are_pinned(relations):
     result = goldbach_lab.audit_range(goldbach_lab.Range(1, 5000), 100, list(relations))
@@ -203,37 +214,37 @@ def test_public_names_are_pinned():
 SIGNATURES = {
     "AuditReport": (
         "(row: 'Row', census: 'RowCensus', row_checks: 'tuple[RelationCheck, ...]', "
-        "even_checks: 'tuple[RelationCheck, ...]') -> None"
+        "even_checks: 'tuple[RelationCheck, ...]') -> 'None'"
     ),
-    "DcResult": "(target: 'int', value: 'int', witness: 'tuple[int, ...]') -> None",
-    "EvenAudit": "(target: 'int', dc_value: 'int', checks: 'tuple[RelationCheck, ...]') -> None",
+    "DcResult": "(target: 'int', value: 'int', witness: 'tuple[int, ...]') -> 'None'",
+    "EvenAudit": "(target: 'int', dc_value: 'int', checks: 'tuple[RelationCheck, ...]') -> 'None'",
     "GoldbachCounterexample": '(target: int)',
-    "PrimeSegment": "(lo: 'int', hi: 'int', digits: 'bytes') -> None",
+    "PrimeSegment": "(lo: 'int', hi: 'int', digits: 'bytes') -> 'None'",
     "PrimeSegment.count": "(self, a: 'int | None' = None, b: 'int | None' = None) -> 'int'",
     "PrimeSegment.is_prime_at": "(self, n: 'int') -> 'bool'",
     "PrimeSegment.primes": "(self) -> 'list[int]'",
     "PrimeSegment.restrict": "(self, lo: 'int', hi: 'int') -> 'PrimeSegment'",
-    "Range": "(start: 'int', end: 'int') -> None",
+    "Range": "(start: 'int', end: 'int') -> 'None'",
     "RangeAudit": (
-        "(reports: 'tuple[AuditReport, ...]', summary: 'dict[str, dict[str, int]]') -> None"
+        "(reports: 'tuple[AuditReport, ...]', summary: 'dict[str, dict[str, int]]') -> 'None'"
     ),
     "RelationCheck": (
         "(relation_id: 'str', lhs_value: 'Number', rhs_value: 'Union[Number, tuple[int, int]]', "
-        "holds: 'bool', detail: 'str' = '') -> None"
+        "holds: 'bool', detail: 'str' = '') -> 'None'"
     ),
-    "Row": "(start: 'int', end: 'int') -> None",
-    "RowCensus": "(gamma_even: 'int', gamma_odd: 'int', gamma_prime: 'int', m: 'int') -> None",
+    "Row": "(start: 'int', end: 'int') -> 'None'",
+    "RowCensus": "(gamma_even: 'int', gamma_odd: 'int', gamma_prime: 'int', m: 'int') -> 'None'",
     "SweepCheckpoint": (
         "(version: 'int', from_even: 'int', to_even: 'int', last_verified: 'int', "
-        "failures: 'tuple[int, ...]', started_at: 'str', updated_at: 'str') -> None"
+        "failures: 'tuple[int, ...]', started_at: 'str', updated_at: 'str') -> 'None'"
     ),
     "SweepSummary": (
         "(from_even: 'int', to_even: 'int', verified: 'int', failures: 'tuple[int, ...]', "
-        "elapsed_seconds: 'float', resumed_from: 'Optional[int]' = None) -> None"
+        "elapsed_seconds: 'float', resumed_from: 'Optional[int]' = None) -> 'None'"
     ),
     "ValidationVerdict": (
         "(accepted: 'bool', violations: 'tuple[tuple[str, str], ...]', "
-        "subject: 'Union[Row, Range, None]' = None) -> None"
+        "subject: 'Union[Row, Range, None]' = None) -> 'None'"
     ),
     "audit_range": (
         "(rng: 'Range', width: 'int', relations: 'Optional[Sequence[str]]' = None, *, "
@@ -256,7 +267,7 @@ SIGNATURES = {
     "run_verify": (
         "(from_even: 'int', to_even: 'int', *, workers: 'int' = 1, "
         "checkpoint_path: 'Optional[str]' = None, "
-        "checkpoint_stride: 'int' = 1048576) -> 'SweepSummary'"
+        "checkpoint_stride: 'int' = 67108864) -> 'SweepSummary'"
     ),
     "sieve_segment": "(lo: 'int', hi: 'int') -> 'PrimeSegment'",
     "successor_offset": "(a: 'Row', b: 'Row') -> 'int'",

@@ -30,7 +30,8 @@ def test_every_imported_name_is_used(path):
 def test_cli_import_loads_neither_the_pool_nor_datetime():
     code = (
         "import sys, goldbach_lab.cli\n"
-        "print(sorted(m for m in ('multiprocessing', 'datetime') if m in sys.modules))\n"
+        "heavy = ('multiprocessing', 'datetime', 'dataclasses', 'inspect')\n"
+        "print(sorted(m for m in heavy if m in sys.modules))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))

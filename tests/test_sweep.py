@@ -564,6 +564,16 @@ class TestCheckpointDocument:
         with pytest.raises(CheckpointMismatch):
             checkpoint_from_json('{"version": 1,')
 
+    def test_deeply_nested_json_rejected(self):
+        with pytest.raises(CheckpointMismatch, match="not valid JSON"):
+            checkpoint_from_json("[" * 200_000 + "]" * 200_000)
+
+    def test_invalid_utf8_rejected(self, tmp_path):
+        path = tmp_path / "cp.json"
+        path.write_bytes(b'{"version": 1, "started_at": "\xff"}')
+        with pytest.raises(CheckpointMismatch, match="not UTF-8"):
+            read_checkpoint(str(path))
+
 
 MISTYPED = [
     {"from": "4"},

@@ -69,11 +69,7 @@ class RelationCheck(Record):
         self, relation_id: str, lhs_value: Number, rhs_value: Union[Number, tuple[int, int]],
         holds: bool, detail: str = "",
     ) -> None:
-        object.__setattr__(self, "relation_id", relation_id)
-        object.__setattr__(self, "lhs_value", lhs_value)
-        object.__setattr__(self, "rhs_value", rhs_value)
-        object.__setattr__(self, "holds", holds)
-        object.__setattr__(self, "detail", detail)
+        self._store(relation_id, lhs_value, rhs_value, holds, detail)
 
 
 class EvenAudit(Record):
@@ -82,9 +78,7 @@ class EvenAudit(Record):
     __slots__ = ("target", "dc_value", "checks")
 
     def __init__(self, target: int, dc_value: int, checks: tuple[RelationCheck, ...]) -> None:
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "dc_value", dc_value)
-        object.__setattr__(self, "checks", checks)
+        self._store(target, dc_value, checks)
 
 
 class AuditReport(Record):
@@ -97,10 +91,7 @@ class AuditReport(Record):
         self, row: Row, census: RowCensus, row_checks: tuple[RelationCheck, ...],
         even_checks: tuple[RelationCheck, ...],
     ) -> None:
-        object.__setattr__(self, "row", row)
-        object.__setattr__(self, "census", census)
-        object.__setattr__(self, "row_checks", row_checks)
-        object.__setattr__(self, "even_checks", even_checks)
+        self._store(row, census, row_checks, even_checks)
 
     @property
     def evens(self) -> range:  # the row's evens A > 2
@@ -122,8 +113,7 @@ class RangeAudit(Record):
     def __init__(
         self, reports: tuple[AuditReport, ...], summary: dict[str, dict[str, int]]
     ) -> None:
-        object.__setattr__(self, "reports", reports)
-        object.__setattr__(self, "summary", summary)
+        self._store(reports, summary)
 
 
 def implication_eval(p: bool, q: bool, r: bool) -> tuple[bool, bool]:

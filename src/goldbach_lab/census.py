@@ -16,10 +16,7 @@ class RowCensus(Record):
     __slots__ = ("gamma_even", "gamma_odd", "gamma_prime", "m")
 
     def __init__(self, gamma_even: int, gamma_odd: int, gamma_prime: int, m: int) -> None:
-        object.__setattr__(self, "gamma_even", gamma_even)
-        object.__setattr__(self, "gamma_odd", gamma_odd)
-        object.__setattr__(self, "gamma_prime", gamma_prime)
-        object.__setattr__(self, "m", m)
+        self._store(gamma_even, gamma_odd, gamma_prime, m)
 
 
 def _evens_between(lo: int, hi: int) -> int:

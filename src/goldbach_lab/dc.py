@@ -37,9 +37,7 @@ class DcResult(Record):
     __slots__ = ("target", "value", "witness")
 
     def __init__(self, target: int, value: int, witness: tuple[int, ...]) -> None:
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "witness", witness)
+        self._store(target, value, witness)
 
 
 def _first_pair(target: int) -> tuple[int, int]:

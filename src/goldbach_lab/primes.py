@@ -200,9 +200,7 @@ class PrimeSegment(Record):
     __slots__ = ("lo", "hi", "digits")
 
     def __init__(self, lo: int, hi: int, digits: bytes) -> None:
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "digits", digits)
+        self._store(lo, hi, digits)
 
     def _odds(self, lo: int, hi: int) -> tuple[int, int]:
         """Slice bounds of the digits of the odds of [lo, hi], within the segment."""

@@ -26,8 +26,7 @@ class _Interval(Record):
     def __init__(self, start: int, end: int) -> None:
         if not 1 <= start <= end:
             raise ValueError(f"need 1 <= start <= end, got ({start}, {end})")
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "end", end)
+        self._store(start, end)
 
     @property
     def size(self) -> int:
@@ -64,9 +63,7 @@ class ValidationVerdict(Record):
         self, accepted: bool, violations: tuple[tuple[str, str], ...],
         subject: Union[Row, Range, None] = None,
     ) -> None:
-        object.__setattr__(self, "accepted", accepted)
-        object.__setattr__(self, "violations", violations)
-        object.__setattr__(self, "subject", subject)
+        self._store(accepted, violations, subject)
 
 
 def _checked(candidate: Sequence[int]) -> list[int]:
@@ -74,7 +71,7 @@ def _checked(candidate: Sequence[int]) -> list[int]:
     if not values:
         raise EmptyCandidate("candidate sequence is empty")
     for v in values:
-        if not isinstance(v, int) or v < 1:
+        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
             raise ValueError(f"candidate elements must be naturals >= 1, got {v!r}")
     return values
 

@@ -73,13 +73,7 @@ class SweepCheckpoint(Record):
         self, version: int, from_even: int, to_even: int, last_verified: int,
         failures: tuple[int, ...], started_at: str, updated_at: str,
     ) -> None:
-        object.__setattr__(self, "version", version)
-        object.__setattr__(self, "from_even", from_even)
-        object.__setattr__(self, "to_even", to_even)
-        object.__setattr__(self, "last_verified", last_verified)
-        object.__setattr__(self, "failures", failures)
-        object.__setattr__(self, "started_at", started_at)
-        object.__setattr__(self, "updated_at", updated_at)
+        self._store(version, from_even, to_even, last_verified, failures, started_at, updated_at)
 
 
 class SweepSummary(Record):
@@ -93,12 +87,7 @@ class SweepSummary(Record):
         self, from_even: int, to_even: int, verified: int, failures: tuple[int, ...],
         elapsed_seconds: float, resumed_from: Optional[int] = None,
     ) -> None:
-        object.__setattr__(self, "from_even", from_even)
-        object.__setattr__(self, "to_even", to_even)
-        object.__setattr__(self, "verified", verified)
-        object.__setattr__(self, "failures", failures)
-        object.__setattr__(self, "elapsed_seconds", elapsed_seconds)
-        object.__setattr__(self, "resumed_from", resumed_from)
+        self._store(from_even, to_even, verified, failures, elapsed_seconds, resumed_from)
 
 
 def _utcnow() -> str:

@@ -40,6 +40,17 @@ def test_cli_import_loads_neither_the_pool_nor_datetime():
     assert proc.stdout == "[]\n"
 
 
+def test_only_the_record_base_writes_past_setattr():
+    writers = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES if path.name != "_record.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+        and isinstance(node.value, ast.Name) and node.value.id == "object"
+    ]
+    assert writers == []
+
+
 def top_level_private_names(tree: ast.Module):
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):

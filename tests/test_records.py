@@ -116,3 +116,13 @@ def test_copy_deepcopy_and_pickle_round_trip(cls, args, other, text):
 @pytest.mark.parametrize("cls, args, other, text", RECORDS, ids=IDS)
 def test_instances_have_no_dict(cls, args, other, text):
     assert not hasattr(cls(*args), "__dict__")
+
+
+@pytest.mark.parametrize("cls, args, other, text", RECORDS, ids=IDS)
+def test_signature_lists_the_fields_in_store_order(cls, args, other, text):
+    names = tuple(inspect.signature(cls).parameters)
+    assert names == cls.__match_args__
+    distinct = range(1, len(names) + 1)  # also 1 <= start <= end for an interval
+    a = cls(**dict(reversed(list(zip(names, distinct)))))
+    assert a == cls(*distinct)
+    assert [getattr(a, name) for name in names] == list(distinct)

@@ -64,6 +64,10 @@ class TestRowClassification:
         with pytest.raises(ValueError):
             validate_row((0, 1, 2))
 
+    def test_rejects_bools(self):
+        with pytest.raises(ValueError, match="naturals"):
+            validate_row([True, 2])
+
 
 class TestRangeClassification:
     def test_accepts_1_to_100(self):
@@ -91,6 +95,10 @@ class TestRangeClassification:
     def test_empty_candidate(self):
         with pytest.raises(EmptyCandidate):
             validate_range([])
+
+    def test_rejects_bools(self):
+        with pytest.raises(ValueError, match="naturals"):
+            validate_range([1, True, 3])
 
     @settings(max_examples=50, deadline=None)
     @given(start=st.integers(1, 10**6), size=st.integers(1, 60), data=st.data())

@@ -117,6 +117,14 @@ def base_primes(limit: int) -> tuple[int, ...]:
     return (2,) + tuple(compress(range(1, limit + 1, 2), odd))
 
 
+def _base_table(bound: int) -> tuple[int, ...]:
+    """The cached base-prime table holding every prime <= bound, sized up to
+    a multiple of _BASE_TABLE_STEP, so that every window of a sweep, and the
+    sweep's pair primes, share one table; for any bound >= 1 it holds every
+    prime up to _BASE_TABLE_STEP."""
+    return base_primes(-(-bound // _BASE_TABLE_STEP) * _BASE_TABLE_STEP)
+
+
 def _wheel_digits() -> bytes:
     """The core's digits for the odds 1, 3, ..., 2 * _WHEEL - 1 with only the
     wheel primes struck, themselves included; they repeat every _WHEEL odds."""
@@ -146,9 +154,7 @@ def _odd_digits(first_odd: int, hi: int) -> bytearray:
         if first_odd == 1:
             digits[0:1] = _COMPOSITE
         start = 1
-    # Rounding the table size up lets every segment of a sweep share one
-    # cached table; the bisects keep the extra primes, and 2, out of the loops.
-    table = base_primes(-(-isqrt(hi) // _BASE_TABLE_STEP) * _BASE_TABLE_STEP)
+    table = _base_table(isqrt(hi))  # the bisects keep its extra primes, and 2, out of the loops
     top = bisect_right(table, isqrt(hi))
     squares_in = bisect_right(table, isqrt(first_odd - 1), start, top)
     may_miss = bisect_right(table, n_odd, start, squares_in)

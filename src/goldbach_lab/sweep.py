@@ -36,9 +36,9 @@ round-robin.
 
 from __future__ import annotations
 
-import json
 import os
 import time
+from bisect import bisect_right
 from math import isqrt
 from typing import Iterator, Optional
 
@@ -47,14 +47,14 @@ from .dc import dc_min
 from .errors import (
     CheckpointMismatch, GoldbachCounterexample, NotEven, OutOfBounds, SegmentTooLarge
 )
-from .primes import _COMPOSITE, _WORD_LIMIT, SEGMENT_CAP, _odd_digits, base_primes
+from .primes import _COMPOSITE, _WORD_LIMIT, SEGMENT_CAP, _base_table, _odd_digits
 
 BLOCK_EVENS = 1 << 18  # fewest evens in a block, which repays the mod-3 split's Python
 _MAX_BLOCK_EVENS = 1 << 20  # most evens in one block, whatever the magnitude
 DEFAULT_CHECKPOINT_STRIDE = 1 << 26  # evens between checkpoint writes: 64 of the largest blocks
 CHECKPOINT_VERSION = 1
 
-_PAIR_PRIME_BOUND = 1 << 14  # small-prime budget before the exhaustive fallback
+_PAIR_PRIME_BOUND = 1 << 14  # small-prime budget before the fallback; within any base table
 _SIGKILL = 9  # fixed by POSIX, where os.fork exists; importing signal costs ~1 ms
 
 _INT_FIELDS = ("version", "from", "to", "last_verified")
@@ -123,7 +123,8 @@ def verify_block(lo: int, hi: int) -> list[int]:
     if lo == 4:  # 4 = 2 + 2, the one sum using 2
         i, c = divmod((hi - 4) // 2, 3)
         unresolved[c] &= ~(1 << i)
-    primes = base_primes(_PAIR_PRIME_BOUND)[1:]
+    table = _base_table(isqrt(hi))  # the table the sieve core just used
+    primes = table[1 : bisect_right(table, _PAIR_PRIME_BOUND)]
     pending = []
     for c, u in enumerate(unresolved):
         for p in primes:
@@ -209,11 +210,15 @@ def _blocks(first: int, last: int) -> range:
 
 
 def checkpoint_to_json(cp: SweepCheckpoint) -> str:
+    import json  # here, not at the top: a sweep without checkpoints never loads it
+
     return json.dumps(dict(zip(_CHECKPOINT_FIELDS, cp._values)), sort_keys=True) + "\n"
 
 
 def checkpoint_from_json(text: str) -> SweepCheckpoint:
     """Parse and validate a checkpoint document; reject anything off-contract."""
+    import json
+
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # RecursionError: arrays nested too deep

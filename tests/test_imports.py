@@ -1,12 +1,17 @@
-"""Every module of the package uses each name it imports, and every line fits in 100 columns."""
+"""What the package loads, and when: the lazy public namespace, the modules a
+first call imports, and the CLI's eager imports.  Every module of the package
+uses each name it imports, and every line fits in 100 columns."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import goldbach_lab
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "goldbach_lab"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -27,17 +32,99 @@ def test_every_imported_name_is_used(path):
     assert sorted(set(imported_names(tree)) - used) == []
 
 
-def test_cli_import_loads_neither_the_pool_nor_datetime():
-    code = (
-        "import sys, goldbach_lab.cli\n"
-        "heavy = ('multiprocessing', 'datetime', 'dataclasses', 'inspect')\n"
-        "print(sorted(m for m in heavy if m in sys.modules))\n"
-    )
+SUBMODULES = ["audit", "census", "cli", "dc", "errors", "primes", "rowrange", "serialize", "sweep"]
+
+
+def run_python(code: str) -> str:
+    """The stdout of ``code`` run in a fresh interpreter that imports this package."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60, check=True)
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+def test_cli_import_loads_neither_the_pool_nor_datetime():
+    # ...and loads every engine and json up front, so that no command pays
+    # for importing one inside its own time
+    code = (
+        "import sys, goldbach_lab.cli\n"
+        "heavy = ('multiprocessing', 'datetime', 'dataclasses', 'inspect')\n"
+        "print(sorted(m for m in heavy if m in sys.modules))\n"
+        "eager = ('audit', 'census', 'rowrange', 'serialize', 'sweep', 'dc', 'primes')\n"
+        "eager = ['json'] + ['goldbach_lab.' + m for m in eager]\n"
+        "print(sorted(m for m in eager if m not in sys.modules))\n"
+    )
+    assert run_python(code) == "[]\n[]\n"
+
+
+def test_the_setup_path_loads_the_sieve_the_sweep_and_dc_only():
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import goldbach_lab\n"
+        "def loaded(): return sorted(m for m in sys.modules if m.startswith('goldbach_lab.'))\n"
+        "print(loaded())\n"
+        "goldbach_lab.verify_block(4, 4)\n"
+        "goldbach_lab.dc_min(4)\n"
+        "print(loaded())\n"
+        "heavy = ('json', 'dataclasses', 'inspect')\n"
+        "print(sorted(m for m in heavy if m in set(sys.modules) - before))\n"
+    )
+    modules = ["_record", "dc", "errors", "primes", "sweep"]
+    assert run_python(code).splitlines() == [
+        "[]", str([f"goldbach_lab.{m}" for m in modules]), "[]"
+    ]
+
+
+def defining_modules(name: str) -> list[str]:
+    """The package modules whose top level defines ``name`` (not imports it)."""
+    return [
+        path.stem for path in MODULES
+        if name in top_level_names(ast.parse(path.read_text(), filename=str(path)))
+    ]
+
+
+class TestLazyNamespace:
+    @pytest.mark.parametrize("name", goldbach_lab.__all__)
+    def test_each_public_name_is_the_object_of_its_defining_module(self, name):
+        [module] = defining_modules(name)
+        defined = getattr(importlib.import_module(f"goldbach_lab.{module}"), name)
+        assert getattr(goldbach_lab, name) is defined
+
+    @pytest.mark.parametrize("name", SUBMODULES)
+    def test_each_submodule_resolves_in_a_fresh_interpreter(self, name):
+        code = (
+            "import sys, goldbach_lab\n"
+            f"module = goldbach_lab.{name}\n"
+            f"print(module is sys.modules['goldbach_lab.{name}'])\n"
+        )
+        assert run_python(code) == "True\n"
+
+    @pytest.mark.parametrize("name", ["no_such_name", "base_primes", "json"])
+    def test_an_unknown_name_raises_attribute_error(self, name):
+        with pytest.raises(AttributeError, match=f"has no attribute {name!r}"):
+            getattr(goldbach_lab, name)
+
+    def test_star_import_binds_exactly_all_and_dir_holds_it(self):
+        code = (
+            "import goldbach_lab\n"
+            "print(set(goldbach_lab.__all__) <= set(dir(goldbach_lab)))\n"
+            "namespace = {}\n"
+            "exec('from goldbach_lab import *', namespace)\n"
+            "print(sorted(set(namespace) - {'__builtins__'}) == goldbach_lab.__all__)\n"
+        )
+        assert run_python(code) == "True\nTrue\n"
+
+    def test_a_record_reached_through_the_lazy_name_pickles_and_copies(self):
+        code = (
+            "import copy, pickle, goldbach_lab\n"
+            "for record in (goldbach_lab.Row(1, 10), goldbach_lab.dc_min(216)):\n"
+            "    twins = (pickle.loads(pickle.dumps(record)), copy.copy(record),\n"
+            "             copy.deepcopy(record))\n"
+            "    print(all(t == record and type(t) is type(record) for t in twins))\n"
+        )
+        assert run_python(code) == "True\nTrue\n"
 
 
 def test_only_the_record_base_writes_past_setattr():
@@ -51,16 +138,17 @@ def test_only_the_record_base_writes_past_setattr():
     assert writers == []
 
 
-def top_level_private_names(tree: ast.Module):
+def top_level_names(tree: ast.Module):
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names = [node.name]
+            yield node.name
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-        else:
-            continue
-        yield from (n for n in names if n.startswith("_") and not n.endswith("__"))
+            yield from (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+
+
+def top_level_private_names(tree: ast.Module):
+    return (n for n in top_level_names(tree) if n.startswith("_") and not n.endswith("__"))
 
 
 def test_every_private_definition_is_used():

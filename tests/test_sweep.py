@@ -13,7 +13,7 @@ from goldbach_lab import sweep
 from goldbach_lab.cli import main
 from goldbach_lab.dc import dc_min, goldbach_pairs
 from goldbach_lab.errors import CheckpointMismatch, NotEven, OutOfBounds, SegmentTooLarge
-from goldbach_lab.primes import SEGMENT_CAP
+from goldbach_lab.primes import SEGMENT_CAP, base_primes
 from goldbach_lab.sweep import (
     CHECKPOINT_VERSION,
     SweepCheckpoint,
@@ -191,6 +191,16 @@ class TestVerifyBlock:
         monkeypatch.setattr(sweep, "_odd_digits", no_primes)
         assert verify_block(lo, lo + 40) == []
         assert seen == list(range(lo, lo + 41, 2))
+
+    def test_one_small_prime_table_per_process(self):
+        # the pair pass takes its primes from the table the sieve core picked
+        # for the window, and dc_min's pair search reads the same table
+        base_primes.cache_clear()
+        verify_block(4, 4)
+        dc_min(4)
+        assert base_primes.cache_info().currsize == 1
+        verify_block(10**12, 10**12 + 2000)  # one wider table, for the sieve and the pass
+        assert base_primes.cache_info().currsize == 2
 
     # the sieved window of a block from 10^6 is [10^6 - B, hi]
     CAPPED = (10**6, 10**6 - B + SEGMENT_CAP - 2)  # the widest even hi under the cap

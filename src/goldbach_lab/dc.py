@@ -1,9 +1,10 @@
 """Degree of complexity: fewest primes summing to a target, with witnesses.
 
 ``dc_min`` is the production path (case analysis plus ascending pair
-search).  ``dc_oracle`` recomputes the same minimum by an unbounded-coin
-dynamic program over a bitset of reachable sums and shares no logic with
-the search, so the two can cross-check each other.
+search over the sieve's base-prime table, then ``iter_primes``).  ``dc_oracle``
+recomputes the same minimum by an unbounded-coin dynamic program over a
+bitset of reachable sums and shares no logic with the search, so the two
+can cross-check each other.
 """
 
 from __future__ import annotations
@@ -18,13 +19,11 @@ from .errors import (
     NotEven,
     TargetTooSmall,
 )
-from .primes import base_primes, is_prime, iter_primes, sieve_segment
+from .primes import _base_table, is_prime, iter_primes, sieve_segment
 
 ORACLE_CAP = 10**6
 ENUMERATION_CAP = 10**4
 PAIR_CAP = 10**6
-
-_SMALL_PRIME_BOUND = 1 << 16
 
 
 class DcResult(Record):
@@ -46,12 +45,14 @@ def _first_pair(target: int) -> tuple[int, int]:
     Ascends p over every prime <= target/2 before giving up, so a raised
     GoldbachCounterexample really is the outcome of an exhaustive search.
     """
-    for p in chain(base_primes(_SMALL_PRIME_BOUND), iter_primes(_SMALL_PRIME_BOUND + 1)):
+    table = _base_table(1)
+    for p in chain(table, iter_primes(table[-1] + 1)):
         if p > target - p:
             raise GoldbachCounterexample(target)
         if is_prime(target - p):
             return p, target - p
-    raise AssertionError("unreachable: prime iterator is unbounded")
+    raise AssertionError("unreachable: dc_min refuses targets >= 2**64 through is_prime,"
+                         " so p > target - p ends the search first")
 
 
 def dc_min(target: int) -> DcResult:

@@ -31,13 +31,12 @@ in a cache-sized buffer, as in the segmented sieves of Oliveira e Silva,
 Herzog & Pardi (Math. Comp. 83 (2014) 2033-2060) and primesieve; on the
 5,000,000-odd window of a census of 10^7 integers at 10^12 that halves
 their time.  A narrower window stays one pass, where chunks cost more than
-they save.
+they save.  The base primes come from ``_base_table``, one table per process.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from functools import lru_cache
 from itertools import compress, islice
 from math import isqrt, log
 from typing import Iterator
@@ -50,6 +49,8 @@ NTH_PRIME_LIMIT = 1 << 32  # largest value nth_prime will sieve toward
 
 _WORD_LIMIT = 1 << 64
 _BASE_TABLE_STEP = 1 << 16  # base-prime tables are built in multiples of this
+_table: tuple[int, ...] = ()  # the process's base-prime table: every prime <= _table_limit
+_table_limit = 0
 _PRIME_CHUNK = 1 << 16  # integers iter_primes sieves, and nth_prime counts, at a time
 _CHUNK = 1 << 20  # odds struck at a time by the small primes of a window of two or more
 _CHUNK_PRIMES = 1 << 14  # the small primes: each strikes a chunk at least 64 times
@@ -100,13 +101,8 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=8)
 def base_primes(limit: int) -> tuple[int, ...]:
-    """Primes <= limit by a plain sieve; cached as an immutable tuple.
-
-    The package's one small-prime table: the segment sieve, the sweep's
-    pair pass and the dc pair search all read it.  Not public API.
-    """
+    """Primes <= limit by a plain sieve; ``_base_table`` keeps the one table."""
     if limit < 2:
         return ()
     odd = bytearray(b"\x01") * ((limit + 1) // 2)  # odd[i]: 2i + 1 is prime
@@ -118,11 +114,14 @@ def base_primes(limit: int) -> tuple[int, ...]:
 
 
 def _base_table(bound: int) -> tuple[int, ...]:
-    """The cached base-prime table holding every prime <= bound, sized up to
-    a multiple of _BASE_TABLE_STEP, so that every window of a sweep, and the
-    sweep's pair primes, share one table; for any bound >= 1 it holds every
-    prime up to _BASE_TABLE_STEP."""
-    return base_primes(-(-bound // _BASE_TABLE_STEP) * _BASE_TABLE_STEP)
+    """The process's one base-prime table: every prime <= bound, and for any
+    bound >= 1 every prime up to _BASE_TABLE_STEP.  A bound past it rebuilds
+    it up to the next multiple of that step; it never shrinks."""
+    global _table, _table_limit
+    if bound > _table_limit:
+        limit = -(-bound // _BASE_TABLE_STEP) * _BASE_TABLE_STEP
+        _table, _table_limit = base_primes(limit), limit
+    return _table
 
 
 def _wheel_digits() -> bytes:
@@ -294,9 +293,8 @@ def nth_prime(x: int) -> int:
 
 
 def iter_primes(start: int = 2) -> Iterator[int]:
-    """Ascending primes >= start, sieving new segments on demand."""
+    """Ascending primes >= start and below 2**64, sieved _PRIME_CHUNK integers
+    at a time; from 2**64 up, the first next() raises OutOfBounds."""
     lo = max(start, 1)
-    while True:
-        hi = lo + _PRIME_CHUNK - 1
-        yield from sieve_segment(lo, hi).primes()
-        lo = hi + 1
+    for seg in iter_segments(lo, max(lo, _WORD_LIMIT - 1), cap=_PRIME_CHUNK):
+        yield from seg.primes()

@@ -58,3 +58,39 @@ def lucy_prime_pi(n: int) -> int:
         k2 = p * p >> 1
         small[k2:] = [x - small[((2 * k + 1) // p - 1) >> 1] + sp for k, x in enumerate(small[k2:], k2)]
     return large[0] + 1
+
+
+def minimal_goldbach_primes(n: int, p_limit: int | None = None) -> list[int]:
+    """For each even a = 6, 8, ..., n, the least odd prime p with a - p prime.
+
+    A plain bytearray sieve of the integers up to n.  The odd primes tried
+    run up to p_limit (all of them by default); an even whose p is not among
+    them raises, so no wrong minimum is ever returned."""
+    is_p = bytearray([1]) * (n + 1)
+    is_p[:2] = b"\0\0"
+    for d in range(2, isqrt(n) + 1):
+        if is_p[d]:
+            is_p[d * d :: d] = bytes(len(range(d * d, n + 1, d)))
+    top = n if p_limit is None else min(p_limit, n)
+    odd_primes = [q for q in range(3, top + 1, 2) if is_p[q]]
+    minimal = []
+    for a in range(6, n + 1, 2):
+        p = a  # stays past a - p unless a prime of the list ends the scan
+        for q in odd_primes:
+            if q > a - q or is_p[a - q]:
+                p = q
+                break
+        if p > a - p:
+            raise ArithmeticError(f"no odd prime p <= {a} / 2 in the list has {a} - p prime")
+        minimal.append(p)
+    return minimal
+
+
+def minimal_p_records(n: int, p_limit: int | None = None) -> list[tuple[int, int]]:
+    """The running-maximum records of minimal_goldbach_primes: each (a, p)
+    whose p exceeds the p of every smaller even from 6."""
+    records = []
+    for a, p in zip(range(6, n + 1, 2), minimal_goldbach_primes(n, p_limit)):
+        if not records or p > records[-1][1]:
+            records.append((a, p))
+    return records

@@ -1,7 +1,9 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from goldbach_lab import dc
+from goldbach_lab import dc, primes
 from goldbach_lab.dc import (
     ORACLE_CAP,
     DcResult,
@@ -20,7 +22,13 @@ from goldbach_lab.errors import (
 )
 from goldbach_lab.primes import sieve_segment
 
-from oracles import min_prime_summands, trial_is_prime, trial_primes_between
+from oracles import (
+    min_prime_summands,
+    minimal_goldbach_primes,
+    minimal_p_records,
+    trial_is_prime,
+    trial_primes_between,
+)
 
 
 def assert_sound(result: DcResult):
@@ -83,6 +91,8 @@ class TestDcMin:
         # target/2, past the 2^16 base table and across iter_primes' chunks
         target = 300_002
         asked = []
+        monkeypatch.setattr(primes, "_table", ())  # so that the table is the 2^16 one
+        monkeypatch.setattr(primes, "_table_limit", 0)
 
         def nothing_is_prime(n):
             asked.append(n)
@@ -109,6 +119,39 @@ class TestDcMin:
         # an odd sum of evenly many primes (and vice versa) forces a 2
         if target % 2 != len(witness) % 2:
             assert 2 in witness
+
+
+@pytest.fixture(scope="module")
+def records():
+    """The running maximum of dc_min(a).witness[0] over the evens a to 10^6,
+    from an oracle that shares no code with the package (tests/oracles.py)."""
+    return minimal_p_records(10**6)
+
+
+class TestMinimalPRecords:
+    def test_every_even_to_a_hundred_thousand_matches_dc_min(self):
+        evens = range(6, 10**5 + 1, 2)
+        assert minimal_goldbach_primes(10**5) == [dc_min(a).witness[0] for a in evens]
+
+    def test_each_record_is_dc_min_at_its_even(self, records):
+        assert [dc_min(a).witness[0] for a, _ in records] == [p for _, p in records]
+
+    def test_no_sampled_even_beats_the_record_before_it(self, records):
+        rng = random.Random(26)
+        for a in sorted(rng.randrange(6, 10**6 + 1, 2) for _ in range(2000)):
+            best = max(p for r, p in records if r <= a)
+            assert dc_min(a).witness[0] <= best, a
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 100])
+    def test_a_shorter_span_gives_a_prefix(self, records, n):
+        assert minimal_p_records(n) == [(a, p) for a, p in records if a <= n]
+
+    def test_an_even_whose_p_is_past_the_prime_list_raises(self):
+        # the evens before the last record to 10^4 need primes below its p
+        a, p = minimal_p_records(10**4)[-1]
+        assert minimal_p_records(a - 2, p_limit=p - 1)[-1][1] < p
+        with pytest.raises(ArithmeticError, match=f"has {a} - p prime"):
+            minimal_p_records(10**4, p_limit=p - 1)
 
 
 class TestDcOracle:

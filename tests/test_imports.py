@@ -138,6 +138,23 @@ def test_only_the_record_base_writes_past_setattr():
     assert writers == []
 
 
+def test_one_base_prime_table_kept_by_primes_alone():
+    # primes._base_table holds the process's one table; no other module
+    # builds one, and nothing caches base_primes' tables by argument
+    def names(path):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+            elif isinstance(node, ast.alias):
+                yield node.asname or node.name
+
+    namers = [p.name for p in sorted(PACKAGE.glob("*.py")) if "base_primes" in set(names(p))]
+    assert namers == ["primes.py"]
+    assert {"lru_cache", "cache"} & set(names(PACKAGE / "primes.py")) == set()
+
+
 def top_level_names(tree: ast.Module):
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):

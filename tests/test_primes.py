@@ -421,3 +421,30 @@ class TestIterPrimes:
         # iter_primes sieves 2^16 integers at a time, so these cross chunk ends
         primes_up_to_top = itertools.takewhile(lambda p: p <= 300_000, iter_primes(start))
         assert list(primes_up_to_top) == sieve_segment(start, 300_000).primes()
+
+    @pytest.mark.parametrize("start", [1 << 64, (1 << 64) + 5])
+    def test_from_two_to_the_64_the_first_next_raises(self, monkeypatch, start):
+        sieved = []
+        monkeypatch.setattr(primes, "_odd_digits", lambda *span: sieved.append(span))
+        primes_from = iter_primes(start)  # a generator: the call itself checks nothing
+        with pytest.raises(OutOfBounds, match=r"2\*\*64"):
+            next(primes_from)
+        assert sieved == []
+
+    def test_the_walk_ends_at_the_last_integer_below_two_to_the_64(self, monkeypatch):
+        # the windows are iter_segments' own; none is sieved here, as the table
+        # for them would hold every prime below 2^32
+        windows = []
+
+        def no_primes(first_odd, hi):
+            assert hi < 1 << 64, "a window past the sieve's domain"
+            windows.append((first_odd, hi))
+            return bytearray(b"1") * ((hi - first_odd) // 2 + 1)
+
+        monkeypatch.setattr(primes, "_odd_digits", no_primes)
+        start = (1 << 64) - 3 * primes._PRIME_CHUNK
+        assert list(iter_primes(start)) == []
+        assert windows == [
+            (lo + 1, lo + primes._PRIME_CHUNK - 1)
+            for lo in range(start, 1 << 64, primes._PRIME_CHUNK)
+        ]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import goldbach_lab
-from goldbach_lab import sweep
+from goldbach_lab import primes, sweep
 from goldbach_lab.cli import main
 from goldbach_lab.dc import dc_min, goldbach_pairs
 from goldbach_lab.errors import CheckpointMismatch, NotEven, OutOfBounds, SegmentTooLarge
@@ -192,15 +192,22 @@ class TestVerifyBlock:
         assert verify_block(lo, lo + 40) == []
         assert seen == list(range(lo, lo + 41, 2))
 
-    def test_one_small_prime_table_per_process(self):
-        # the pair pass takes its primes from the table the sieve core picked
-        # for the window, and dc_min's pair search reads the same table
-        base_primes.cache_clear()
-        verify_block(4, 4)
-        dc_min(4)
-        assert base_primes.cache_info().currsize == 1
-        verify_block(10**12, 10**12 + 2000)  # one wider table, for the sieve and the pass
-        assert base_primes.cache_info().currsize == 2
+    def test_one_small_prime_table_per_process(self, monkeypatch):
+        # the sieve core, the pair pass and dc_min's pair search read the one
+        # table primes._base_table keeps; a smaller bound reads it as it is
+        builds = []
+
+        def build(limit):
+            builds.append(limit)
+            return base_primes(limit)
+
+        monkeypatch.setattr(primes, "_table", ())
+        monkeypatch.setattr(primes, "_table_limit", 0)
+        monkeypatch.setattr(primes, "base_primes", build)
+        verify_block(10**12, 10**12 + 2000)  # the primes up to isqrt(hi), rounded up to 2^20
+        dc_min(10**12 + 2)
+        verify_block(10**10, 10**10 + 2000)
+        assert builds == [1 << 20]
 
     # the sieved window of a block from 10^6 is [10^6 - B, hi]
     CAPPED = (10**6, 10**6 - B + SEGMENT_CAP - 2)  # the widest even hi under the cap

@@ -12,22 +12,27 @@ forms of the latter appear as (19) and (20), with the rewriting flagged in
 their detail text.
 
 An even A > 2 is not prime, so DC(A) = 2 exactly when some p + q = A.  The
-audit composes the other engines: ``census_range`` counts the rows, and one
+audit composes the other engines: the census walk counts the rows, and one
 ``sweep.run_verify`` over the range's evens (the only parallel step) finds
 such a pair for each or raises.  So an audited even's ``dc_value`` is 2 and
-its checks depend on the census alone, as the row checks do.  ``audit_range``
-evaluates both once per distinct census, and the rows with that census share
-one census object and its two checks tuples; ``summarize`` then tallies each
-distinct tuple once, weighted by the rows or evens that hold it.
+its checks depend on the census alone, as the row checks do.
+
+The audit works by census group (``_audit_groups``): the walk keeps one group
+index per row and one ``RowCensus`` per distinct census, with no record per
+row.  Each group's row and even checks are evaluated once, and the verdict
+summary tallies them once per group, weighted by the group's rows and evens.
+The CLI renders from these groups; ``audit_range`` builds its reports from
+them, so rows with equal censuses share one census object and its two checks
+tuples.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from ._record import Record
-from .census import RowCensus, census_range
+from .census import RowCensus, _census_groups, _CensusGroups
 from .errors import GoldbachCounterexample
 from .rowrange import Range, Row
 from .sweep import run_verify
@@ -242,27 +247,74 @@ def audit_row(row: Row, relations: Optional[Sequence[str]] = None) -> AuditRepor
     return audit_range(Range(row.start, row.end), row.size, relations).reports[0]
 
 
-def summarize(reports: Sequence[AuditReport]) -> dict[str, dict[str, int]]:
-    """Held/failed counts per relation id, in catalog order.
-
-    A report's row checks count once and its even checks once per even.
-    Each distinct checks tuple is tallied once, weighted by its users: equal
-    tuples from one audit are one object, and grouping by identity stays
-    exact for reports mixed from several audits.
-    """
-    groups: dict[int, list] = {}  # id(checks) -> [checks, the rows or evens it serves]
-    for r in reports:
-        for checks, n in ((r.row_checks, 1), (r.even_checks, len(r.evens))):
-            groups.setdefault(id(checks), [checks, 0])[1] += n
+def _tally(weighted: Iterable[tuple[tuple[RelationCheck, ...], int]]) -> dict[str, dict[str, int]]:
+    """Held/failed counts per relation id, in catalog order, of checks tuples
+    each counted as often as its weight."""
     tally: Counter[tuple[str, bool]] = Counter()
-    for checks, users in groups.values():
+    for checks, weight in weighted:
         for check in checks:
-            tally[check.relation_id, check.holds] += users
+            tally[check.relation_id, check.holds] += weight
     return {
         rid: {"failed": tally[rid, False], "held": tally[rid, True]}
         for rid in ALL_RELATIONS
         if tally[rid, False] or tally[rid, True]
     }
+
+
+def summarize(reports: Sequence[AuditReport]) -> dict[str, dict[str, int]]:
+    """Held/failed counts per relation id, in catalog order: a report's row
+    checks count once and its even checks once per even."""
+    return _tally(
+        pair for r in reports for pair in ((r.row_checks, 1), (r.even_checks, len(r.evens)))
+    )
+
+
+class _AuditGroups(Record):
+    """An audit by census group: the rows' census groups, the row and even
+    checks of group g (``checks[g]``), and the verdict summary."""
+
+    __slots__ = ("census", "checks", "summary")
+
+    def __init__(
+        self, census: _CensusGroups,
+        checks: list[tuple[tuple[RelationCheck, ...], tuple[RelationCheck, ...]]],
+        summary: dict[str, dict[str, int]],
+    ) -> None:
+        self._store(census, checks, summary)
+
+
+def _audit_groups(
+    rng: Range, width: int, relations: Optional[Sequence[str]] = None, *, workers: int = 1
+) -> _AuditGroups:
+    """The audit of every partition row of a range, by census group.
+
+    The census walk and its width refusals, and then the pair proof, run
+    here, before anything is rendered.  A group's even checks serve each even
+    A > 2 of its rows: a row's count of them is its even count, less one for
+    the row holding 2.
+    """
+    if workers < 1:
+        raise ValueError(f"need workers >= 1, got {workers}")
+    wanted = _relation_filter(relations)
+    census = _census_groups(rng, width)
+    _prove_pairs(rng.start, rng.end, workers)
+    checks = [  # the checks read the census alone, so A = 4 stands for any even
+        tuple(
+            tuple(c for c in group if c.relation_id in wanted)
+            for group in (evaluate_row_relations(c), evaluate_even_relations(4, _DC_VALUE, c))
+        )
+        for c in census.censuses
+    ]
+    n_rows = Counter(census.index)
+    n_evens = [n_rows[g] * c.gamma_even for g, c in enumerate(census.censuses)]
+    if rng.start <= 2 <= rng.end:
+        n_evens[census.index[(2 - rng.start) // width]] -= 1
+    summary = _tally(
+        pair
+        for g, (row_checks, even_checks) in enumerate(checks)
+        for pair in ((row_checks, n_rows[g]), (even_checks, n_evens[g]))
+    )
+    return _AuditGroups(census, checks, summary)
 
 
 def audit_range(
@@ -273,22 +325,11 @@ def audit_range(
     ``workers`` parallelises the pair pass alone, which merges its blocks in
     order, so the output is identical for any worker count.
     """
-    if workers < 1:
-        raise ValueError(f"need workers >= 1, got {workers}")
-    wanted = _relation_filter(relations)
-    censuses = census_range(rng, width)
-    _prove_pairs(rng.start, rng.end, workers)
-    shared: dict[RowCensus, tuple] = {}  # census -> (census, row checks, even checks)
+    audit = _audit_groups(rng, width, relations, workers=workers)
+    censuses = audit.census.censuses
     reports = []
-    for row, census in censuses:
-        evens = _evens(row.start, row.end)
-        entry = shared.get(census)
-        if entry is None:  # the checks read the census alone, so A = 4 stands for any even
-            both = evaluate_row_relations(census), evaluate_even_relations(4, _DC_VALUE, census)
-            entry = shared[census] = (
-                census,
-                *(tuple(c for c in group if c.relation_id in wanted) for group in both),
-            )
-        census, row_checks, even_checks = entry
-        reports.append(AuditReport(row, census, row_checks, even_checks if evens else ()))
-    return RangeAudit(tuple(reports), summarize(reports))
+    for start, end, g in audit.census.rows():
+        row_checks, even_checks = audit.checks[g]
+        even_checks = even_checks if _evens(start, end) else ()
+        reports.append(AuditReport(Row(start, end), censuses[g], row_checks, even_checks))
+    return RangeAudit(tuple(reports), audit.summary)

@@ -4,7 +4,7 @@ Exit codes: 0 on success (failing relations are data, not errors), 1 on
 internal error, 2 on invalid arguments, paths or domain errors.  JSON output is
 byte-identical for identical query parameters, whatever the worker count.
 
-Each ``cmd_*`` handler returns its output, a string or the audit's chunks as
+Each ``cmd_*`` handler returns its output, a string or the rows' chunks as
 they render, and ``main`` writes it once.  The parser gets the arguments of
 the invoked subcommand only.
 """
@@ -18,8 +18,8 @@ import sys
 from typing import Iterable, Optional, Union
 
 from . import serialize
-from .audit import audit_range
-from .census import census_range
+from .audit import _audit_groups
+from .census import _census_groups
 from .dc import dc_min, goldbach_pairs
 from .errors import GoldbachLabError
 from .primes import sieve_segment
@@ -90,17 +90,18 @@ def cmd_verify(args: argparse.Namespace) -> str:
 
 
 def cmd_audit(args: argparse.Namespace) -> Iterable[str]:
-    result = audit_range(Range(args.from_, args.to), args.row_width, workers=args.workers)
+    # refusals and the pair proof run here, before main opens the output
+    audit = _audit_groups(Range(args.from_, args.to), args.row_width, workers=args.workers)
     if args.format == "json":
-        return serialize.audit_json(result, _row_params(args))
-    return serialize.audit_csv(result) if args.format == "csv" else serialize.audit_text(result)
+        return serialize.audit_json(audit, _row_params(args))
+    return serialize.audit_csv(audit) if args.format == "csv" else serialize.audit_text(audit)
 
 
-def cmd_census(args: argparse.Namespace) -> str:
-    items = census_range(Range(args.from_, args.to), args.row_width)
+def cmd_census(args: argparse.Namespace) -> Union[str, Iterable[str]]:
+    groups = _census_groups(Range(args.from_, args.to), args.row_width)
     if args.format == "json":
-        return serialize.to_json("census", _row_params(args), serialize.census_payload(items))
-    return serialize.census_csv(items) if args.format == "csv" else serialize.census_text(items)
+        return serialize.to_json("census", _row_params(args), serialize.census_payload(groups))
+    return serialize.census_csv(groups) if args.format == "csv" else serialize.census_text(groups)
 
 
 def cmd_dc(args: argparse.Namespace) -> str:

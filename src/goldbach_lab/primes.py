@@ -49,6 +49,7 @@ NTH_PRIME_LIMIT = 1 << 32  # largest value nth_prime will sieve toward
 
 _WORD_LIMIT = 1 << 64
 _BASE_TABLE_STEP = 1 << 16  # base-prime tables are built in multiples of this
+_BASE_TABLE_CAP = 1 << 27  # the largest table bound; building the table to it peaks at 452 MiB
 _table: tuple[int, ...] = ()  # the process's base-prime table: every prime <= _table_limit
 _table_limit = 0
 _PRIME_CHUNK = 1 << 16  # integers iter_primes sieves, and nth_prime counts, at a time
@@ -116,9 +117,16 @@ def base_primes(limit: int) -> tuple[int, ...]:
 def _base_table(bound: int) -> tuple[int, ...]:
     """The process's one base-prime table: every prime <= bound, and for any
     bound >= 1 every prime up to _BASE_TABLE_STEP.  A bound past it rebuilds
-    it up to the next multiple of that step; it never shrinks."""
+    it up to the next multiple of that step; it never shrinks.  A bound past
+    _BASE_TABLE_CAP is refused before anything is built."""
     global _table, _table_limit
     if bound > _table_limit:
+        if bound > _BASE_TABLE_CAP:
+            cap = f"2**{_BASE_TABLE_CAP.bit_length() - 1}"
+            raise OutOfBounds(
+                f"base primes to {bound} pass the table cap {cap}: the sieve domain is "
+                f"[1, ({cap} + 1)**2)"
+            )
         limit = -(-bound // _BASE_TABLE_STEP) * _BASE_TABLE_STEP
         _table, _table_limit = base_primes(limit), limit
     return _table

@@ -130,18 +130,23 @@ def validate_range(candidate: Sequence[int]) -> ValidationVerdict:
     return _validate(candidate, RANGE_PROPERTY_LABELS, Range)
 
 
-def partition_rows(rng: Range, width: int) -> list[Row]:
-    """Split a range into successive rows of equal width, in ascending order.
-
-    The width must divide the range cardinality exactly; a ragged final row
-    would break the even/odd balance downstream consumers rely on.
-    """
+def _check_width(rng: Range, width: int) -> None:
+    """Refuse a row width that does not tile the range exactly."""
     if width < 1:
         raise ValueError(f"width must be >= 1, got {width}")
     if width > rng.size:
         raise WidthExceedsRange(f"width {width} exceeds range size {rng.size}")
     if rng.size % width:
         raise NonDivisibleWidth(f"width {width} does not divide size {rng.size}")
+
+
+def partition_rows(rng: Range, width: int) -> list[Row]:
+    """Split a range into successive rows of equal width, in ascending order.
+
+    The width must divide the range cardinality exactly; a ragged final row
+    would break the even/odd balance downstream consumers rely on.
+    """
+    _check_width(rng, width)
     return [Row(s, s + width - 1) for s in range(rng.start, rng.end + 1, width)]
 
 

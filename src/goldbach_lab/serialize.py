@@ -8,18 +8,18 @@ belongs to the text rendering and stderr only).
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Iterable, Iterator, Union
+from typing import Any, Iterable, Iterator, Union
 
 from . import __version__ as TOOL_VERSION
-from .audit import _DC_VALUE, RangeAudit, RelationCheck
-from .census import RowCensus
+from .audit import _DC_VALUE, RelationCheck, _AuditGroups, _evens
+from .census import RowCensus, _CensusGroups
 from .dc import DcResult
 from .primes import PrimeSegment
 from .rowrange import Row
 from .sweep import SweepSummary
 
 FORMATS = ("json", "csv", "text")
-_CHUNK_CHARS = 1 << 15  # a rendered chunk of evens' entries holds about this many characters
+_CHUNK_CHARS = 1 << 15  # a rendered chunk of rows or evens holds about this many characters
 
 
 def _dumps(value: Any, depth: int) -> str:
@@ -55,31 +55,27 @@ def _entries(evens: range, pieces: list[str], sep: str = "") -> Iterator[str]:
         yield (sep if i else "") + sep.join([str(a).join(pieces) for a in part])
 
 
-def _per_object(render: Callable[..., Any]) -> Callable[..., Any]:
-    """render, called once per distinct tuple of argument objects.
-
-    An audit holds one census object and one checks tuple per distinct census,
-    so identity finds every repeat; a key by value would hash every check of
-    every row in Python.  The audit being rendered keeps each argument alive,
-    so no id is reused while the memo is in use.
-    """
-    memo: dict[tuple[int, ...], Any] = {}
-
-    def cached(*args: Any) -> Any:
-        key = tuple(map(id, args))
-        if key not in memo:
-            memo[key] = render(*args)
-        return memo[key]
-
-    return cached
+def _chunked(texts: Iterable[str]) -> Iterator[str]:
+    """The texts, concatenated into chunks of at least _CHUNK_CHARS characters
+    but the last: a chunk spans many small rows, and a wide row's chunks of
+    evens pass nearly as they are."""
+    part: list[str] = []
+    size = 0
+    for text in texts:
+        part.append(text)
+        size += len(text)
+        if size >= _CHUNK_CHARS:
+            yield "".join(part)
+            part, size = [], 0
+    yield "".join(part)
 
 
 # ---------------------------------------------------------------------------
 # payload builders
 
 
-def _row_doc(row: Row) -> dict[str, int]:
-    return {"start": row.start, "end": row.end}
+def _row_doc(start: int, end: int) -> dict[str, int]:
+    return {"start": start, "end": end}
 
 
 def _census_doc(c: RowCensus) -> dict[str, int]:
@@ -120,35 +116,40 @@ def _row_template(
     )
 
 
-def audit_json(result: RangeAudit, parameters: dict[str, Any]) -> Iterator[str]:
+def audit_json(audit: _AuditGroups, parameters: dict[str, Any]) -> Iterator[str]:
     """to_json("audit", parameters, {"rows": ..., "verdict_summary": ...}) as chunks.
 
-    Each distinct (census, row checks, even checks) key renders its row
-    template once; each per-even entry is then prefix + str(A) + suffix.
+    Each census group renders its row template once; each per-even entry is
+    then prefix + str(A) + suffix, and each row adds its start and end.
     """
-    return _envelope("audit", parameters, _audit_payload(result))
+    return _envelope("audit", parameters, _audit_payload(audit))
 
 
-def _audit_payload(result: RangeAudit) -> Iterator[str]:
-    template = _per_object(_row_template)
+def _audit_payload(audit: _AuditGroups) -> Iterator[str]:
     yield '{\n    "rows": ['
-    for i, report in enumerate(result.reports):
-        head, pieces, tail = template(report.census, report.row_checks, report.even_checks)
-        yield (",\n" if i else "\n") + head
-        yield from _entries(report.evens, pieces, ",")
-        end, start = report.row.end, report.row.start
+    yield from _chunked(_json_rows(audit))
+    yield f'\n    ],\n    "verdict_summary": {_dumps(audit.summary, 2)}\n  }}'
+
+
+def _json_rows(audit: _AuditGroups) -> Iterator[str]:
+    censuses = audit.census.censuses
+    templates = [_row_template(c, *checks) for c, checks in zip(censuses, audit.checks)]
+    sep = "\n"
+    for start, end, g in audit.census.rows():
+        head, pieces, tail = templates[g]
+        evens = _evens(start, end)
+        yield sep + head
+        yield from _entries(evens, pieces, ",")
         yield (
-            ("\n        ]," if report.evens else "],")
+            ("\n        ]," if evens else "],")
             + f'\n        "row": {{\n          "end": {end},\n          "start": {start}{tail}'
         )
-    yield (
-        ("\n    ]" if result.reports else "]")
-        + f',\n    "verdict_summary": {_dumps(result.summary, 2)}\n  }}'
-    )
+        sep = ",\n"
 
 
-def census_payload(items: list[tuple[Row, RowCensus]]) -> list[dict[str, Any]]:
-    return [{"row": _row_doc(row), "census": _census_doc(c)} for row, c in items]
+def census_payload(groups: _CensusGroups) -> list[dict[str, Any]]:
+    docs = [_census_doc(c) for c in groups.censuses]
+    return [{"row": _row_doc(start, end), "census": docs[g]} for start, end, g in groups.rows()]
 
 
 def dc_payload(result: DcResult, pairs: Union[list[tuple[int, int]], None] = None) -> dict:
@@ -183,7 +184,7 @@ def partition_payload(rows: list[Row], width: int) -> dict[str, Any]:
         "from": rows[0].start,
         "to": rows[-1].end,
         "width": width,
-        "rows": [_row_doc(r) for r in rows],
+        "rows": [_row_doc(r.start, r.end) for r in rows],
     }
 
 
@@ -208,52 +209,52 @@ def _check_line(check: RelationCheck) -> str:
     return f"{check.relation_id},{lhs},{rhs},{_cell(check.holds)}\n"
 
 
-def _row_check_pieces(census: RowCensus, checks: tuple[RelationCheck, ...]) -> list[str]:
-    """A row's check lines as the pieces its "row_start,row_end" joins."""
-    cells = f",{census.gamma_even},{census.gamma_odd},{census.gamma_prime},{census.m},"
-    return ["", *(cells + _check_line(c) for c in checks)]
+def _census_cells(c: RowCensus) -> str:
+    return f",{c.gamma_even},{c.gamma_odd},{c.gamma_prime},{c.m}"
 
 
-def audit_csv(result: RangeAudit) -> Iterator[str]:
+def audit_csv(audit: _AuditGroups) -> Iterator[str]:
     """Two flat tables: per-row checks, a blank line, then per-A checks.
 
     No cell needs quoting, so every line is a plain join.  The text after a
-    row's row_start,row_end renders once per distinct (census, row checks) key,
-    and the text after an even's row_start,A once per distinct even-check list;
-    each row or even then adds only its own prefix.
+    row's row_start,row_end renders once per census group, and the text after
+    an even's row_start,A once per group too; each row or even then adds only
+    its own prefix.
     """
-    yield f"{_CENSUS_COLUMNS},{_CHECK_COLUMNS}\n"
-    row_pieces = _per_object(_row_check_pieces)
-    for report in result.reports:
-        pieces = row_pieces(report.census, report.row_checks)
-        yield f"{report.row.start},{report.row.end}".join(pieces)
-    yield f"\nrow_start,A,dc_value,{_CHECK_COLUMNS}\n"
-    tails = _per_object(lambda checks: [f",{_DC_VALUE},{_check_line(c)}" for c in checks])
-    for report in result.reports:
-        lines = tails(report.even_checks)
-        if lines:  # each even's lines are start + A + a tail
-            start = f"{report.row.start},"
-            pieces = [start, *(tail + start for tail in lines[:-1]), lines[-1]]
-            yield from _entries(report.evens, pieces)
-
-
-def census_csv(items: list[tuple[Row, RowCensus]]) -> str:
-    lines = [
-        f"{row.start},{row.end},{c.gamma_even},{c.gamma_odd},{c.gamma_prime},{c.m}\n"
-        for row, c in items
+    census = audit.census
+    row_pieces = [  # a row's check lines, as the pieces its "row_start,row_end" joins
+        ["", *(f"{_census_cells(c)},{_check_line(check)}" for check in row_checks)]
+        for c, (row_checks, _) in zip(census.censuses, audit.checks)
     ]
-    return f"{_CENSUS_COLUMNS}\n" + "".join(lines)
+    even_tails = [[f",{_DC_VALUE},{_check_line(c)}" for c in checks] for _, checks in audit.checks]
+    yield f"{_CENSUS_COLUMNS},{_CHECK_COLUMNS}\n"
+    yield from _chunked(f"{start},{end}".join(row_pieces[g]) for start, end, g in census.rows())
+    yield f"\nrow_start,A,dc_value,{_CHECK_COLUMNS}\n"
+    if even_tails[0]:  # every group has the same relations
+        yield from _chunked(
+            chunk for start, end, g in census.rows() for chunk in _entries(
+                _evens(start, end), _even_pieces(f"{start},", even_tails[g])
+            )
+        )
+
+
+def _even_pieces(start: str, tails: list[str]) -> list[str]:
+    """An even's check lines, as the pieces its A joins: each is start + A + a tail."""
+    return [start, *[tail + start for tail in tails[:-1]], tails[-1]]
+
+
+def census_csv(groups: _CensusGroups) -> Iterator[str]:
+    tails = [_census_cells(c) + "\n" for c in groups.censuses]
+    yield f"{_CENSUS_COLUMNS}\n"
+    yield from _chunked(f"{start},{end}{tails[g]}" for start, end, g in groups.rows())
 
 
 # ---------------------------------------------------------------------------
 # text
 
 
-def _census_line(row: Row, c: RowCensus) -> str:
-    return (
-        f"row {row.start}..{row.end}: evens={c.gamma_even} odds={c.gamma_odd} "
-        f"primes={c.gamma_prime} m={c.m}"
-    )
+def _census_text(c: RowCensus) -> str:  # a row's text line after "row start..end"
+    return f": evens={c.gamma_even} odds={c.gamma_odd} primes={c.gamma_prime} m={c.m}\n"
 
 
 def _failing_note(checks: tuple[RelationCheck, ...]) -> str:
@@ -269,19 +270,30 @@ def _row_check_text(checks: tuple[RelationCheck, ...]) -> str:
     )
 
 
-def audit_text(result: RangeAudit) -> Iterator[str]:
-    check_text, notes = _per_object(_row_check_text), _per_object(_failing_note)
-    for report in result.reports:
-        yield _census_line(report.row, report.census) + "\n" + check_text(report.row_checks)
-        note = notes(report.even_checks)
-        yield from _entries(report.evens, ["  A=", f" dc={_DC_VALUE}{note}\n"])
+def audit_text(audit: _AuditGroups) -> Iterator[str]:
+    yield from _chunked(_text_rows(audit))
     yield "summary (held/failed):\n"
-    for rid, counts in result.summary.items():
+    for rid, counts in audit.summary.items():
         yield f"  {rid}: {counts['held']}/{counts['failed']}\n"
 
 
-def census_text(items: list[tuple[Row, RowCensus]]) -> str:
-    return "\n".join(_census_line(row, c) for row, c in items) + "\n"
+def _text_rows(audit: _AuditGroups) -> Iterator[str]:
+    row_text = [  # a row's lines after "row start..end"
+        _census_text(c) + _row_check_text(row_checks)
+        for c, (row_checks, _) in zip(audit.census.censuses, audit.checks)
+    ]
+    even_pieces = [  # an even's line, as the pieces its A joins
+        ["  A=", f" dc={_DC_VALUE}{_failing_note(even_checks)}\n"]
+        for _, even_checks in audit.checks
+    ]
+    for start, end, g in audit.census.rows():
+        yield f"row {start}..{end}{row_text[g]}"
+        yield from _entries(_evens(start, end), even_pieces[g])
+
+
+def census_text(groups: _CensusGroups) -> Iterator[str]:
+    tails = [_census_text(c) for c in groups.censuses]
+    return _chunked(f"row {start}..{end}{tails[g]}" for start, end, g in groups.rows())
 
 
 def dc_text(result: DcResult, pairs: Union[list[tuple[int, int]], None] = None) -> str:

@@ -1,11 +1,18 @@
 import json
+import os
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
-from goldbach_lab import cli, sweep
+import goldbach_lab
+from goldbach_lab import cli, serialize, sweep
+from goldbach_lab.audit import AuditReport
+from goldbach_lab.census import RowCensus, census_range
 from goldbach_lab.cli import main
+from goldbach_lab.rowrange import Range, Row
 from goldbach_lab.sweep import CHECKPOINT_VERSION, SweepCheckpoint, write_checkpoint
 
 
@@ -74,7 +81,7 @@ class TestExitCodes:
         def no_work(*args, **kwargs):
             raise AssertionError("the command ran before its path was checked")
 
-        monkeypatch.setattr("goldbach_lab.cli.audit_range", no_work)
+        monkeypatch.setattr("goldbach_lab.cli._audit_groups", no_work)
         monkeypatch.setattr("goldbach_lab.cli.run_verify", no_work)
         monkeypatch.chdir(tmp_path)
         code, _, err = run_cli(capsys, *argv)
@@ -279,6 +286,73 @@ class TestCensusCommand:
         ]
 
 
+def count_constructions(monkeypatch, *classes):
+    """Patch each class's __init__ to count the instances of that exact class."""
+    counts = dict.fromkeys((cls.__name__ for cls in classes), 0)
+    for cls in classes:
+        def init(self, *args, cls=cls, real=cls.__init__):
+            counts[cls.__name__] += type(self) is cls
+            real(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", init)
+    return counts
+
+
+def peak_kib_of_cli(*argv):
+    """VmHWM, in KiB, of a fresh process that runs the CLI on argv."""
+    code = (
+        "import sys\n"
+        "from goldbach_lab.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    print(next(l for l in fh if l.startswith('VmHWM:')).split()[1])\n"
+    )
+    src = str(Path(goldbach_lab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env=env, timeout=300, check=True)
+    return int(proc.stdout.split()[-1])
+
+
+class TestRowsByCensusGroup:
+    """audit and census render from one group index per row, not from records."""
+
+    @pytest.mark.parametrize("fmt", serialize.FORMATS)
+    @pytest.mark.parametrize("command", ["audit", "census"])
+    def test_no_record_per_row(self, command, fmt, monkeypatch, tmp_path):
+        rng, width = Range(1, 10**4), 10  # 1000 rows
+        distinct = len({c for _, c in census_range(rng, width)})
+        counts = count_constructions(monkeypatch, Row, RowCensus, AuditReport)
+        argv = [command, "--from", "1", "--to", str(rng.end), "--row-width", str(width),
+                "--format", fmt, "--output", str(tmp_path / "out")]
+        assert main(argv) == 0
+        assert counts["Row"] == counts["AuditReport"] == 0
+        assert 0 < counts["RowCensus"] <= distinct < 1000
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM from procfs")
+    def test_many_row_audit_peak_is_bounded(self):
+        # 5 * 10^5 rows and a 378 MB table; a Row, RowCensus and AuditReport
+        # per row, and their renderers' memos, peaked at 172 MiB
+        argv = ["audit", "--from", "1", "--to", str(10**6), "--row-width", "2",
+                "--format", "csv", "--output", os.devnull]
+        peak_kib = peak_kib_of_cli(*argv)
+        assert peak_kib < 40 * 1024, f"peak RSS {peak_kib} KiB"
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM from procfs")
+    def test_many_row_census_peak_is_bounded(self, tmp_path):
+        # 10^6 rows; a Row and a RowCensus per row, and the CSV built as one
+        # string, peaked at 378 MiB
+        out = tmp_path / "census.csv"
+        argv = ["census", "--from", "1", "--to", str(10**6), "--row-width", "1",
+                "--format", "csv", "--output", str(out)]
+        peak_kib = peak_kib_of_cli(*argv)
+        assert peak_kib < 40 * 1024, f"peak RSS {peak_kib} KiB"
+        with open(out) as fh:
+            assert sum(1 for _ in fh) == 1 + 10**6
+        assert out.read_text().endswith("\n1000000,1000000,1,0,0,1\n")
+
+
 class TestDcCommand:
     def test_prime_target(self, capsys):
         code, out, _ = run_cli(capsys, "dc", "3")
@@ -374,7 +448,9 @@ EVERY_COMMAND = [
     ["partition", "--from", "1", "--to", "20", "--row-width", "10"],
 ]
 # the engine each of those calls, a global of goldbach_lab.cli
-ENGINES = ["run_verify", "audit_range", "census_range", "dc_min", "sieve_segment", "partition_rows"]
+ENGINES = [
+    "run_verify", "_audit_groups", "_census_groups", "dc_min", "sieve_segment", "partition_rows"
+]
 
 
 def joined(output):
@@ -479,6 +555,37 @@ class TestSieveDomain:
         )
         assert proc.returncode == 2, proc.stderr
         assert "2**64" in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--from", str(1 << 62), "--to", str((1 << 62) + 2000)],
+        ["census", "--from", str(1 << 62), "--to", str((1 << 62) + 999), "--row-width", "10"],
+        ["sieve", "--from", str((1 << 64) - 1000), "--to", str((1 << 64) - 1)],
+    ], ids=["verify", "census", "sieve"])
+    def test_refused_past_the_base_prime_table_cap(self, argv, cap_address_space):
+        # their base-prime tables, to 2^31 and 2^32, would take gigabytes to build
+        started = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "goldbach_lab.cli", *argv],
+            capture_output=True,
+            text=True,
+            preexec_fn=cap_address_space,
+            timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert time.perf_counter() - started < 1
+        assert proc.stderr.startswith("error: ") and "table cap 2**27" in proc.stderr
+
+    def test_dc_still_answers_next_to_two_to_the_64(self, cap_address_space):
+        target = (1 << 64) - 2  # dc_min tests its summands by Miller-Rabin, not the sieve
+        proc = subprocess.run(
+            [sys.executable, "-m", "goldbach_lab.cli", "dc", str(target)],
+            capture_output=True,
+            text=True,
+            preexec_fn=cap_address_space,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith(f"dc({target}) = 2 ")
 
     # 12 divides 2**64 + 8, so at width 12 the span has ~1.5e18 rows to list
     @pytest.mark.parametrize(

@@ -127,7 +127,7 @@ def test_output_bytes_are_pinned(case, argv, tmp_path):
 
 # The audit renderers' chunks, joined, at library level: a relation subset
 # with no even checks, one with no row checks, and one with both.
-# Digests of (json, csv, text) for audit_range(Range(1, 5000), 100, relations).
+# Digests of (json, csv, text) for the audit of Range(1, 5000) in rows of 100.
 LIBRARY_AUDIT_DIGESTS = {
     ("A1",): (
         "68e532f179c0e69ad0cc269dbaa389a6d4e842f82ff45917aa21b427e8461fe6",
@@ -160,7 +160,7 @@ def test_entry_chunks_are_sized_in_characters(entry_chars):
 
 @pytest.mark.parametrize("relations", list(LIBRARY_AUDIT_DIGESTS), ids=" ".join)
 def test_audit_renderer_chunks_are_pinned(relations):
-    result = goldbach_lab.audit_range(goldbach_lab.Range(1, 5000), 100, list(relations))
+    result = goldbach_lab.audit._audit_groups(goldbach_lab.Range(1, 5000), 100, list(relations))
     renders = (
         serialize.audit_json(result, {"from": 1, "to": 5000, "width": 100}),
         serialize.audit_csv(result),

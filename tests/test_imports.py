@@ -155,6 +155,18 @@ def test_one_base_prime_table_kept_by_primes_alone():
     assert {"lru_cache", "cache"} & set(names(PACKAGE / "primes.py")) == set()
 
 
+def test_no_module_keys_anything_by_identity():
+    # an id() memo holds only while its objects live; the audit's census groups
+    # are indexed by value, so nothing in the package reads id
+    readers = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Name) and node.id == "id"
+    ]
+    assert readers == []
+
+
 def top_level_names(tree: ast.Module):
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):

@@ -305,6 +305,34 @@ class TestBasePrimes:
         assert len(base_primes(limit)) == count
 
 
+class TestBaseTableCap:
+    """primes._base_table refuses a bound past its cap before it builds anything."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        built = []  # the limit of each table built; none is, for real
+        monkeypatch.setattr(primes, "base_primes", lambda limit: built.append(limit) or (2,))
+        monkeypatch.setattr(primes, "_table", ())
+        monkeypatch.setattr(primes, "_table_limit", 0)
+        return built
+
+    def test_the_cap_itself_is_built(self, builds):
+        primes._base_table(primes._BASE_TABLE_CAP)
+        assert builds == [primes._BASE_TABLE_CAP]
+
+    @pytest.mark.parametrize("bound", [(1 << 27) + 1, 1 << 31, (1 << 32) - 1])
+    def test_past_the_cap_is_refused_unbuilt(self, builds, bound):
+        with pytest.raises(OutOfBounds, match=rf"to {bound} pass the table cap 2\*\*27"):
+            primes._base_table(bound)
+        assert builds == []
+
+    def test_iter_primes_next_to_two_to_the_64_raises_at_its_first_next(self, builds):
+        primes_from = iter_primes((1 << 64) - 100)  # a generator: the call itself checks nothing
+        with pytest.raises(OutOfBounds, match=r"table cap 2\*\*27"):
+            next(primes_from)
+        assert builds == []
+
+
 class TestIsPrime:
     def test_smallest_prime(self):
         assert is_prime(2)

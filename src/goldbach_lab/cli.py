@@ -23,7 +23,7 @@ from .census import _census_groups
 from .dc import dc_min, goldbach_pairs
 from .errors import GoldbachLabError
 from .primes import sieve_segment
-from .rowrange import Range, partition_rows
+from .rowrange import Range, _check_width
 from .sweep import DEFAULT_CHECKPOINT_STRIDE, run_verify
 
 
@@ -97,10 +97,10 @@ def cmd_audit(args: argparse.Namespace) -> Iterable[str]:
     return serialize.audit_csv(audit) if args.format == "csv" else serialize.audit_text(audit)
 
 
-def cmd_census(args: argparse.Namespace) -> Union[str, Iterable[str]]:
+def cmd_census(args: argparse.Namespace) -> Iterable[str]:
     groups = _census_groups(Range(args.from_, args.to), args.row_width)
     if args.format == "json":
-        return serialize.to_json("census", _row_params(args), serialize.census_payload(groups))
+        return serialize.census_json(groups, _row_params(args))
     return serialize.census_csv(groups) if args.format == "csv" else serialize.census_text(groups)
 
 
@@ -122,12 +122,13 @@ def cmd_sieve(args: argparse.Namespace) -> str:
     return f"primes in [{seg.lo}, {seg.hi}]: {seg.count()}\n{listing}"
 
 
-def cmd_partition(args: argparse.Namespace) -> str:
-    rows = partition_rows(Range(args.from_, args.to), args.row_width)
+def cmd_partition(args: argparse.Namespace) -> Iterable[str]:
+    width = args.row_width
+    _check_width(Range(args.from_, args.to), width)  # refused here, before main opens the output
+    starts = range(args.from_, args.to + 1, width)
     if args.format == "json":
-        payload = serialize.partition_payload(rows, args.row_width)
-        return serialize.to_json("partition", _row_params(args), payload)
-    return "\n".join(f"row {r.start}..{r.end}" for r in rows) + "\n"
+        return serialize.partition_json(starts, width, _row_params(args))
+    return serialize._chunked(f"row {s}..{s + width - 1}\n" for s in starts)
 
 
 def _verify_arguments(p: argparse.ArgumentParser) -> None:

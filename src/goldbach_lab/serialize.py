@@ -3,11 +3,15 @@
 Serialized output is byte-stable: keys are sorted, number formatting is
 fixed, and no timestamps or timing figures enter JSON payloads (wall time
 belongs to the text rendering and stderr only).
+
+``to_json`` writes a single-object payload; every row list streams through
+one list writer, ``_listed``, in the bytes ``to_json`` would write.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain, repeat
 from typing import Any, Iterable, Iterator, Union
 
 from . import __version__ as TOOL_VERSION
@@ -15,7 +19,6 @@ from .audit import _DC_VALUE, RelationCheck, _AuditGroups, _evens
 from .census import RowCensus, _CensusGroups
 from .dc import DcResult
 from .primes import PrimeSegment
-from .rowrange import Row
 from .sweep import SweepSummary
 
 FORMATS = ("json", "csv", "text")
@@ -40,19 +43,19 @@ def to_json(command: str, parameters: dict[str, Any], payload: Any) -> str:
     return "".join(_envelope(command, parameters, [_dumps(payload, 1)]))
 
 
-def _entries(evens: range, pieces: list[str], sep: str = "") -> Iterator[str]:
-    """sep.join(str(A).join(pieces) for A in evens), in chunks of about _CHUNK_CHARS.
+def _entries(evens: range, pieces: list[str], sep: str = "", prefix: str = "") -> Iterator[str]:
+    """sep.join(f"{prefix}{A}".join(pieces) for A in evens), in chunks of about _CHUNK_CHARS.
 
     A chunk is sized in characters, not evens, since a JSON entry is about
     3 KB.  Chunks of over about 100 KB, and their encoded copies, are mapped
     or trimmed afresh by glibc's malloc, so every chunk faults its pages in
     again: 1024-even chunks of 3 MB made a JSON audit of wide rows 3x slower.
     """
-    longest = sum(map(len, pieces)) + len(str(evens.stop)) * (len(pieces) - 1) + len(sep)
+    longest = len(f"{prefix}{evens.stop}".join(pieces)) + len(sep)
     step = max(1, _CHUNK_CHARS // longest)
     for i in range(0, len(evens), step):
         part = evens[i : i + step]
-        yield (sep if i else "") + sep.join([str(a).join(pieces) for a in part])
+        yield (sep if i else "") + sep.join([f"{prefix}{a}".join(pieces) for a in part])
 
 
 def _chunked(texts: Iterable[str]) -> Iterator[str]:
@@ -70,12 +73,15 @@ def _chunked(texts: Iterable[str]) -> Iterator[str]:
     yield "".join(part)
 
 
+def _listed(rows: Iterable[Iterable[str]], close: str) -> Iterator[str]:
+    r"""A JSON list in _chunked chunks: "[", each row's chunks after the "\n" or
+    ",\n" that opens it, then close, the text that ends the list."""
+    opened = zip(chain((("\n",),), repeat((",\n",))), rows)  # (the row's opening, its chunks)
+    return _chunked(chain(("[",), chain.from_iterable(chain.from_iterable(opened)), (close,)))
+
+
 # ---------------------------------------------------------------------------
 # payload builders
-
-
-def _row_doc(start: int, end: int) -> dict[str, int]:
-    return {"start": start, "end": end}
 
 
 def _census_doc(c: RowCensus) -> dict[str, int]:
@@ -126,30 +132,27 @@ def audit_json(audit: _AuditGroups, parameters: dict[str, Any]) -> Iterator[str]
 
 
 def _audit_payload(audit: _AuditGroups) -> Iterator[str]:
-    yield '{\n    "rows": ['
-    yield from _chunked(_json_rows(audit))
-    yield f'\n    ],\n    "verdict_summary": {_dumps(audit.summary, 2)}\n  }}'
+    yield '{\n    "rows": '
+    yield from _listed(_json_rows(audit), "\n    ]")
+    yield f',\n    "verdict_summary": {_dumps(audit.summary, 2)}\n  }}'
 
 
-def _json_rows(audit: _AuditGroups) -> Iterator[str]:
+def _json_rows(audit: _AuditGroups) -> Iterator[Iterable[str]]:
     censuses = audit.census.censuses
     templates = [_row_template(c, *checks) for c, checks in zip(censuses, audit.checks)]
-    sep = "\n"
     for start, end, g in audit.census.rows():
         head, pieces, tail = templates[g]
         evens = _evens(start, end)
-        yield sep + head
-        yield from _entries(evens, pieces, ",")
-        yield (
-            ("\n        ]," if evens else "],")
-            + f'\n        "row": {{\n          "end": {end},\n          "start": {start}{tail}'
-        )
-        sep = ",\n"
+        row = f'\n        "row": {{\n          "end": {end},\n          "start": {start}{tail}'
+        yield chain((head,), _entries(evens, pieces, ","), ("\n        ]," if evens else "],", row))
 
 
-def census_payload(groups: _CensusGroups) -> list[dict[str, Any]]:
-    docs = [_census_doc(c) for c in groups.censuses]
-    return [{"row": _row_doc(start, end), "census": docs[g]} for start, end, g in groups.rows()]
+def census_json(groups: _CensusGroups, parameters: dict[str, Any]) -> Iterator[str]:
+    """to_json("census", parameters, [{"census": ..., "row": ...}, ...]) as chunks."""
+    docs = [_dumps(_census_doc(c), 3) for c in groups.censuses]
+    rows = ((f'    {{\n      "census": {docs[g]},\n      "row": {{\n        "end": {end},'
+             f'\n        "start": {start}\n      }}\n    }}',) for start, end, g in groups.rows())
+    return _envelope("census", parameters, _listed(rows, "\n  ]"))
 
 
 def dc_payload(result: DcResult, pairs: Union[list[tuple[int, int]], None] = None) -> dict:
@@ -179,13 +182,13 @@ def segment_payload(seg: PrimeSegment, include_primes: bool = False) -> dict[str
     return doc
 
 
-def partition_payload(rows: list[Row], width: int) -> dict[str, Any]:
-    return {
-        "from": rows[0].start,
-        "to": rows[-1].end,
-        "width": width,
-        "rows": [_row_doc(r.start, r.end) for r in rows],
-    }
+def partition_json(starts: range, width: int, parameters: dict[str, Any]) -> Iterator[str]:
+    """to_json("partition", parameters, {"from": ..., "rows": ..., ...}) as chunks."""
+    rows = ((f'      {{\n        "end": {s + width - 1},\n        "start": {s}\n      }}',)
+            for s in starts)
+    close = f'\n    ],\n    "to": {starts[-1] + width - 1},\n    "width": {width}\n  }}'
+    payload = chain((f'{{\n    "from": {starts.start},\n    "rows": ',), _listed(rows, close))
+    return _envelope("partition", parameters, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -230,17 +233,12 @@ def audit_csv(audit: _AuditGroups) -> Iterator[str]:
     yield f"{_CENSUS_COLUMNS},{_CHECK_COLUMNS}\n"
     yield from _chunked(f"{start},{end}".join(row_pieces[g]) for start, end, g in census.rows())
     yield f"\nrow_start,A,dc_value,{_CHECK_COLUMNS}\n"
-    if even_tails[0]:  # every group has the same relations
+    if even_tails[0]:  # every group has the same relations; "row_start,A" joins the pieces
+        even_pieces = [["", *tails] for tails in even_tails]
         yield from _chunked(
-            chunk for start, end, g in census.rows() for chunk in _entries(
-                _evens(start, end), _even_pieces(f"{start},", even_tails[g])
-            )
+            chunk for start, end, g in census.rows()
+            for chunk in _entries(_evens(start, end), even_pieces[g], prefix=f"{start},")
         )
-
-
-def _even_pieces(start: str, tails: list[str]) -> list[str]:
-    """An even's check lines, as the pieces its A joins: each is start + A + a tail."""
-    return [start, *[tail + start for tail in tails[:-1]], tails[-1]]
 
 
 def census_csv(groups: _CensusGroups) -> Iterator[str]:

@@ -296,6 +296,7 @@ def run_verify(
         raise ValueError(f"need workers >= 1, got {workers}")
     if checkpoint_stride < 1:
         raise ValueError(f"need checkpoint_stride >= 1, got {checkpoint_stride}")
+    _base_table(isqrt(to_even))  # refuses past the table cap; forked workers inherit the table
 
     started_at = _utcnow()
     start_at = from_even

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -12,6 +13,7 @@ from goldbach_lab import cli, serialize, sweep
 from goldbach_lab.audit import AuditReport
 from goldbach_lab.census import RowCensus, census_range
 from goldbach_lab.cli import main
+from goldbach_lab.primes import is_prime
 from goldbach_lab.rowrange import Range, Row
 from goldbach_lab.sweep import CHECKPOINT_VERSION, SweepCheckpoint, write_checkpoint
 
@@ -315,11 +317,16 @@ def peak_kib_of_cli(*argv):
     return int(proc.stdout.split()[-1])
 
 
-class TestRowsByCensusGroup:
-    """audit and census render from one group index per row, not from records."""
+# every format of each command that prints a row list
+ROW_LISTS = [(command, fmt) for command in ("audit", "census") for fmt in serialize.FORMATS]
+ROW_LISTS += [("partition", "json"), ("partition", "text")]
 
-    @pytest.mark.parametrize("fmt", serialize.FORMATS)
-    @pytest.mark.parametrize("command", ["audit", "census"])
+
+class TestRowsByCensusGroup:
+    """audit and census render from one group index per row, and partition from
+    row arithmetic, not from records."""
+
+    @pytest.mark.parametrize("command, fmt", ROW_LISTS, ids=["-".join(c) for c in ROW_LISTS])
     def test_no_record_per_row(self, command, fmt, monkeypatch, tmp_path):
         rng, width = Range(1, 10**4), 10  # 1000 rows
         distinct = len({c for _, c in census_range(rng, width)})
@@ -328,7 +335,10 @@ class TestRowsByCensusGroup:
                 "--format", fmt, "--output", str(tmp_path / "out")]
         assert main(argv) == 0
         assert counts["Row"] == counts["AuditReport"] == 0
-        assert 0 < counts["RowCensus"] <= distinct < 1000
+        if command == "partition":
+            assert counts["RowCensus"] == 0
+        else:
+            assert 0 < counts["RowCensus"] <= distinct < 1000
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM from procfs")
     def test_many_row_audit_peak_is_bounded(self):
@@ -351,6 +361,69 @@ class TestRowsByCensusGroup:
         with open(out) as fh:
             assert sum(1 for _ in fh) == 1 + 10**6
         assert out.read_text().endswith("\n1000000,1000000,1,0,0,1\n")
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM from procfs")
+    @pytest.mark.parametrize("command, fmt, tail", [
+        ("census", "json", '"gamma_prime": 0,\n        "m": 1\n      },\n      "row": {\n'
+                           '        "end": 1000000,\n        "start": 1000000\n      }\n    }\n  ],'),
+        ("partition", "json", '"end": 1000000,\n        "start": 1000000\n      }\n    ],\n'
+                              '    "to": 1000000,\n    "width": 1\n  },'),
+        ("partition", "text", "\nrow 999999..999999\nrow 1000000..1000000\n"),
+    ], ids=["census-json", "partition-json", "partition-text"])
+    def test_many_row_list_peak_is_bounded(self, command, fmt, tail, tmp_path):
+        # 10^6 rows; a dict per row through the indenting encoder peaked at
+        # 2338 MiB for census JSON, and a Row per row at 895 MiB for partition
+        # JSON and 232 MiB for its text
+        out = tmp_path / "out"
+        argv = [command, "--from", "1", "--to", str(10**6), "--row-width", "1",
+                "--format", fmt, "--output", str(out)]
+        peak_kib = peak_kib_of_cli(*argv)
+        assert peak_kib < 40 * 1024, f"peak RSS {peak_kib} KiB"
+        with open(out, "rb") as fh:
+            fh.seek(-200, os.SEEK_END)
+            text = fh.read().decode()
+        if fmt == "json":
+            tail += f'\n  "tool_version": "{goldbach_lab.__version__}"\n}}\n'
+        assert text.endswith(tail)
+
+
+def census_doc(start, end):
+    """A census list entry of row [start, end], counted without the census walk."""
+    evens = end // 2 - (start - 1) // 2
+    census = {"gamma_even": evens, "gamma_odd": end - start + 1 - evens,
+              "gamma_prime": sum(map(is_prime, range(start, end + 1))), "m": end - start + 1}
+    return {"census": census, "row": {"end": end, "start": start}}
+
+
+# (from, width, rows): one row, the rows that hold 1 and 2, rows near 10^12,
+# and seeded lists below 10^6 and near 10^12
+_SEEDED = random.Random(29)
+REFERENCE_LISTS = [(7, 5, 1), (10**12, 1, 1), (1, 1, 4), (1, 2, 3), (2, 1, 3), (1, 3, 2),
+                   (10**12 - 11, 12, 5)]
+REFERENCE_LISTS += [
+    (_SEEDED.randrange(base, base + 10**6), _SEEDED.randint(1, 60), _SEEDED.randint(1, 30))
+    for base in (1, 1, 10**12 - 10**6, 10**12)
+]
+
+
+class TestStreamedListsEqualToJson:
+    """census and partition JSON stream their rows, with the bytes to_json writes."""
+
+    @pytest.mark.parametrize("start, width, count", REFERENCE_LISTS)
+    def test_census_and_partition(self, start, width, count, capsys):
+        end = start + width * count - 1
+        starts = range(start, end + 1, width)
+        params = {"from": start, "to": end, "width": width}
+        payloads = {
+            "census": [census_doc(s, s + width - 1) for s in starts],
+            "partition": {"from": start, "rows": [{"end": s + width - 1, "start": s}
+                                                  for s in starts], "to": end, "width": width},
+        }
+        for command, payload in payloads.items():
+            code, out, err = run_cli(capsys, command, "--from", str(start), "--to", str(end),
+                                     "--row-width", str(width), "--format", "json")
+            assert (code, err) == (0, "")
+            assert out == serialize.to_json(command, params, payload)
 
 
 class TestDcCommand:
@@ -449,7 +522,7 @@ EVERY_COMMAND = [
 ]
 # the engine each of those calls, a global of goldbach_lab.cli
 ENGINES = [
-    "run_verify", "_audit_groups", "_census_groups", "dc_min", "sieve_segment", "partition_rows"
+    "run_verify", "_audit_groups", "_census_groups", "dc_min", "sieve_segment", "_check_width"
 ]
 
 
@@ -574,6 +647,34 @@ class TestSieveDomain:
         assert proc.returncode == 2, proc.stderr
         assert time.perf_counter() - started < 1
         assert proc.stderr.startswith("error: ") and "table cap 2**27" in proc.stderr
+
+    def test_a_sweep_across_the_table_cap_is_refused_at_the_call(
+        self, tmp_path, cap_address_space
+    ):
+        # its first block lies below (2^27 + 1)^2 and its second crosses it:
+        # refused before the 2^27 table is built, a worker forked or a block
+        # checkpointed
+        square = ((1 << 27) + 1) ** 2
+        checkpoint = tmp_path / "cp.json"
+        code = (
+            "import os, sys\n"
+            "from goldbach_lab.cli import main\n"
+            "forks, real_fork = [], os.fork\n"
+            "os.fork = lambda: forks.append(1) or real_fork()\n"
+            "code = main(sys.argv[1:])\n"
+            "print(len(forks))\n"
+            "sys.exit(code)\n"
+        )
+        argv = ["verify", "--from", str(square - 1 - 2 * sweep._MAX_BLOCK_EVENS),
+                "--to", str(square + 1), "--workers", "2",
+                "--checkpoint", str(checkpoint), "--checkpoint-stride", "2"]
+        started = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                              text=True, preexec_fn=cap_address_space, timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, "0\n"), proc.stderr
+        assert time.perf_counter() - started < 1
+        assert proc.stderr.startswith("error: ") and "table cap 2**27" in proc.stderr
+        assert not checkpoint.exists()
 
     def test_dc_still_answers_next_to_two_to_the_64(self, cap_address_space):
         target = (1 << 64) - 2  # dc_min tests its summands by Miller-Rabin, not the sieve

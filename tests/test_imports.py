@@ -167,6 +167,20 @@ def test_no_module_keys_anything_by_identity():
     assert readers == []
 
 
+def test_the_cli_prints_row_lists_from_the_walk_or_row_arithmetic():
+    # the CLI's rows come from the census walk or from range(start, end + 1,
+    # width), so neither module names a row record or a public row-list builder
+    listers = {"Row", "partition_rows", "census_range", "audit_range"}
+    named = [
+        f"{name}:{node.lineno}"
+        for name in ("cli.py", "serialize.py")
+        for node in ast.walk(ast.parse((PACKAGE / name).read_text(), filename=name))
+        if {getattr(node, "id", None), getattr(node, "attr", None),
+            node.name if isinstance(node, ast.alias) else None} & listers
+    ]
+    assert named == []
+
+
 def top_level_names(tree: ast.Module):
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -393,6 +394,16 @@ class TestRunVerify:
         with pytest.raises(OutOfBounds, match=r"2\*\*64"):
             run_verify(4, 1 << 64)
         assert forks == []
+
+    def test_the_table_is_built_before_the_first_fork(self, monkeypatch):
+        # so the forked workers inherit one table instead of each building it
+        monkeypatch.setattr(primes, "_table", ())
+        monkeypatch.setattr(primes, "_table_limit", 0)
+        limits = []
+        real_fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: limits.append(primes._table_limit) or real_fork())
+        assert run_verify(HIGH_LO, HIGH_HI, workers=2).failures == ()
+        assert len(limits) == 1 and limits[0] >= isqrt(HIGH_HI) > primes._BASE_TABLE_STEP
 
     def test_a_worker_error_exits_two_from_the_cli(self):
         resource = pytest.importorskip("resource")

@@ -31,7 +31,8 @@ in a cache-sized buffer, as in the segmented sieves of Oliveira e Silva,
 Herzog & Pardi (Math. Comp. 83 (2014) 2033-2060) and primesieve; on the
 5,000,000-odd window of a census of 10^7 integers at 10^12 that halves
 their time.  A narrower window stays one pass, where chunks cost more than
-they save.  The base primes come from ``_base_table``, one table per process.
+they save.  The base primes come from ``_base_table``, one table per
+process, which grows through this core.
 """
 
 from __future__ import annotations
@@ -49,9 +50,7 @@ NTH_PRIME_LIMIT = 1 << 32  # largest value nth_prime will sieve toward
 
 _WORD_LIMIT = 1 << 64
 _BASE_TABLE_STEP = 1 << 16  # base-prime tables are built in multiples of this
-_BASE_TABLE_CAP = 1 << 27  # the largest table bound; building the table to it peaks at 452 MiB
-_table: tuple[int, ...] = ()  # the process's base-prime table: every prime <= _table_limit
-_table_limit = 0
+_BASE_TABLE_CAP = 1 << 27  # the largest table bound; building the table to it peaks at 399 MiB
 _PRIME_CHUNK = 1 << 16  # integers iter_primes sieves, and nth_prime counts, at a time
 _CHUNK = 1 << 20  # odds struck at a time by the small primes of a window of two or more
 _CHUNK_PRIMES = 1 << 14  # the small primes: each strikes a chunk at least 64 times
@@ -67,7 +66,8 @@ _SHORT_RUN = 64  # strike runs shorter than this are built once, here
 _RUNS = tuple(_COMPOSITE * k for k in range(_SHORT_RUN))
 _WHEEL_PRIMES = (3, 5, 7, 11, 13)  # struck by one repeating pattern, not one by one
 _WHEEL = 3 * 5 * 7 * 11 * 13  # the pattern's period, in odds
-_CLEAR = bytearray(1)  # base_primes' not-prime flag, repeated the same way
+_table = (2, *_WHEEL_PRIMES)  # the process's base-prime table: every prime <= _table_limit
+_table_limit = 0  # not 13: a first bound >= 1 grows the table to _BASE_TABLE_STEP
 _PRIME_FLAGS = bytes.maketrans(b"01", b"\1\0")  # core digits -> primes() selectors
 
 
@@ -102,33 +102,31 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def base_primes(limit: int) -> tuple[int, ...]:
-    """Primes <= limit by a plain sieve; ``_base_table`` keeps the one table."""
-    if limit < 2:
-        return ()
-    odd = bytearray(b"\x01") * ((limit + 1) // 2)  # odd[i]: 2i + 1 is prime
-    odd[0] = 0
-    for p in range(3, isqrt(limit) + 1, 2):
-        if odd[p >> 1]:
-            odd[p * p >> 1 :: p] = _CLEAR * ((limit - p * p) // (2 * p) + 1)
-    return (2,) + tuple(compress(range(1, limit + 1, 2), odd))
-
-
 def _base_table(bound: int) -> tuple[int, ...]:
     """The process's one base-prime table: every prime <= bound, and for any
-    bound >= 1 every prime up to _BASE_TABLE_STEP.  A bound past it rebuilds
-    it up to the next multiple of that step; it never shrinks.  A bound past
+    bound >= 1 every prime up to _BASE_TABLE_STEP.  It starts as 2 and the
+    wheel primes and grows through the sieve core: a bound past it extends it
+    to the next multiple of that step, in steps that each append the primes
+    of (limit, min(target, limit**2)] from ``iter_segments``, one window at a
+    time, sieved by the table so far.  It never shrinks.  A bound past
     _BASE_TABLE_CAP is refused before anything is built."""
     global _table, _table_limit
     if bound > _table_limit:
         if bound > _BASE_TABLE_CAP:
             cap = f"2**{_BASE_TABLE_CAP.bit_length() - 1}"
-            raise OutOfBounds(
-                f"base primes to {bound} pass the table cap {cap}: the sieve domain is "
-                f"[1, ({cap} + 1)**2)"
-            )
-        limit = -(-bound // _BASE_TABLE_STEP) * _BASE_TABLE_STEP
-        _table, _table_limit = base_primes(limit), limit
+            raise OutOfBounds(f"base primes to {bound} pass the table cap {cap}: "
+                              f"the sieve domain is [1, ({cap} + 1)**2)")
+        target = -(-bound // _BASE_TABLE_STEP) * _BASE_TABLE_STEP
+        kept, _table_limit = (_table, _table_limit), max(_table_limit, _table[-1])  # 13 if fresh
+        try:  # each step is sieved through _base_table(isqrt(hi)), which reads _table_limit
+            while _table_limit < target:
+                hi, grown = min(target, _table_limit**2), _table
+                for found in map(PrimeSegment.primes, iter_segments(_table_limit + 1, hi)):
+                    grown += tuple(found)
+                _table, _table_limit = grown, hi
+        except BaseException:  # a growth cut short leaves the table as it was
+            _table, _table_limit = kept
+            raise
     return _table
 
 
@@ -246,7 +244,8 @@ class PrimeSegment(Record):
 
 
 def sieve_segment(lo: int, hi: int) -> PrimeSegment:
-    """Sieve the closed interval [lo, hi], where 1 <= lo <= hi < 2**64."""
+    """Sieve the closed interval [lo, hi], where 1 <= lo <= hi < (2**27 + 1)**2:
+    from there on, OutOfBounds, as the base primes to isqrt(hi) pass their cap."""
     if lo < 1 or lo > hi:
         raise InvalidInterval(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
     span = hi - lo + 1

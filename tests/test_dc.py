@@ -91,7 +91,7 @@ class TestDcMin:
         # target/2, past the 2^16 base table and across iter_primes' chunks
         target = 300_002
         asked = []
-        monkeypatch.setattr(primes, "_table", ())  # so that the table is the 2^16 one
+        monkeypatch.setattr(primes, "_table", (2, *primes._WHEEL_PRIMES))  # grows to 2^16
         monkeypatch.setattr(primes, "_table_limit", 0)
 
         def nothing_is_prime(n):

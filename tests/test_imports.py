@@ -139,20 +139,22 @@ def test_only_the_record_base_writes_past_setattr():
 
 
 def test_one_base_prime_table_kept_by_primes_alone():
-    # primes._base_table holds the process's one table; no other module
-    # builds one, and nothing caches base_primes' tables by argument
-    def names(path):
+    # primes._base_table holds the process's one table and grows it in place;
+    # no other module binds the table or its limit, and nothing caches
+    def names(path, bound_only=False):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Name):
-                yield node.id
-            elif isinstance(node, ast.Attribute):
-                yield node.attr
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                if not bound_only or isinstance(node.ctx, ast.Store):
+                    yield node.id if isinstance(node, ast.Name) else node.attr
             elif isinstance(node, ast.alias):
                 yield node.asname or node.name
+            elif isinstance(node, ast.Global):
+                yield from node.names
 
-    namers = [p.name for p in sorted(PACKAGE.glob("*.py")) if "base_primes" in set(names(p))]
-    assert namers == ["primes.py"]
-    assert {"lru_cache", "cache"} & set(names(PACKAGE / "primes.py")) == set()
+    modules = sorted(PACKAGE.glob("*.py"))
+    binders = [p.name for p in modules if {"_table", "_table_limit"} & set(names(p, True))]
+    assert binders == ["primes.py"]
+    assert [p.name for p in modules if {"lru_cache", "cache"} & set(names(p))] == []
 
 
 def test_no_module_keys_anything_by_identity():

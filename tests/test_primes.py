@@ -12,7 +12,6 @@ from goldbach_lab.errors import InvalidInterval, OutOfBounds, SegmentTooLarge
 from goldbach_lab.primes import (
     SEGMENT_CAP,
     _odd_digits,
-    base_primes,
     is_prime,
     iter_primes,
     iter_segments,
@@ -179,9 +178,7 @@ def strike_loop_of_most_primes(first_odd, hi):
     the wheel, by the loops' definitions in the primes module docstring."""
     n_odd = (hi - first_odd) // 2 + 1
     loops = Counter()
-    for p in base_primes(isqrt(hi)):
-        if p <= 13:
-            continue
+    for p in trial_primes_between(17, isqrt(hi)):  # the base primes past the wheel
         if p * p >= first_odd:
             loops["from-square"] += 1
         elif p > n_odd:
@@ -240,7 +237,10 @@ def seeded_ranges(seed, near, span):
 @pytest.fixture(params=[1, 2, 7, 64], ids=lambda cap: f"cap{cap}")
 def small_segments(request, monkeypatch):
     """prime_count and nth_prime walk segments of a small cap, so segment
-    edges fall inside every range they count."""
+    edges fall inside every range they count.  The base-prime table grows
+    through primes.iter_segments too, so the table these ranges need, to
+    2^20 (for ranges up to 2^40), is grown first, by whole windows."""
+    primes._base_table(1 << 20)
     walk = functools.partial(primes.iter_segments, cap=request.param)
     monkeypatch.setattr(primes, "iter_segments", walk)
 
@@ -261,9 +261,9 @@ class TestCountsOnTheCoreDigits:
         # nth_prime counts each segment in chunks of _PRIME_CHUNK integers from
         # its lo: chunks start at 65537 and 131073, and a cap of 10^5 puts a
         # segment edge inside the second chunk
-        table = base_primes(140_000)
+        listed = [n for n in range(140_001) if is_prime(n)]
         around = [
-            (x, p) for x, p in enumerate(table, 1)
+            (x, p) for x, p in enumerate(listed, 1)
             if any(abs(p - edge) < 60 for edge in (65537, 100_001, 131073))
         ]
         assert 65537 in dict(around).values() and len(around) > 12
@@ -295,30 +295,103 @@ class TestCountsOnTheCoreDigits:
                 assert seg.restrict(a, b).primes() == sub.primes()
 
 
+@pytest.fixture
+def fresh_table(monkeypatch):
+    """primes._base_table's table as a new process holds it: 2 and the wheel
+    primes, with no bound asked for yet."""
+    monkeypatch.setattr(primes, "_table", (2, *primes._WHEEL_PRIMES))
+    monkeypatch.setattr(primes, "_table_limit", 0)
+
+
+def record_windows(monkeypatch, walk=iter_segments):
+    """Patch primes.iter_segments to walk with `walk`, and return the list of
+    the (lo, hi) of each window it sieves, in order."""
+    seen = []
+
+    def recorded(lo, hi, **kw):
+        for seg in walk(lo, hi, **kw):
+            seen.append((seg.lo, seg.hi))
+            yield seg
+
+    monkeypatch.setattr(primes, "iter_segments", recorded)
+    return seen
+
+
+def assert_tiled(windows, old, new):
+    """The windows run from old + 1 to new in order, each from the integer
+    after the last one's end, past the wheel primes and at most SEGMENT_CAP
+    wide."""
+    assert [lo for lo, _ in windows] == [old + 1] + [hi + 1 for _, hi in windows[:-1]]
+    assert windows[-1][1] == new
+    assert all(13 < lo <= hi < lo + SEGMENT_CAP for lo, hi in windows)
+
+
 class TestBasePrimes:
-    def test_matches_trial_division(self):
-        for n in range(301):
-            assert base_primes(n) == tuple(trial_primes_between(2, n)), n
+    def test_the_first_table_matches_trial_division(self, fresh_table):
+        assert primes._base_table(1) == tuple(trial_primes_between(2, 1 << 16))
 
     @pytest.mark.parametrize("limit, count", [(1 << 16, 6542), (1 << 20, 82025)])
-    def test_counts(self, limit, count):
-        assert len(base_primes(limit)) == count
+    def test_counts(self, fresh_table, limit, count):
+        assert len(primes._base_table(limit)) == count
+
+
+class TestBaseTableGrowth:
+    """The table grows through the sieve core: each step sieves the stretch
+    past its limit, up to the limit's square, by the table held so far."""
+
+    def test_sixteen_steps_to_two_to_the_20_equal_one_fresh_build(self, fresh_table,
+                                                                 monkeypatch):
+        windows = record_windows(monkeypatch)
+        primes._base_table(1)  # from 13 through 13^2 and 13^4 to 2^16
+        assert windows == [(14, 169), (170, 169**2), (169**2 + 1, 1 << 16)]
+        for k in range(2, 17):
+            del windows[:]
+            grown = primes._base_table(k << 16)
+            assert len(grown) == lucy_prime_pi(k << 16)
+            assert_tiled(windows, (k - 1) << 16, k << 16)
+        monkeypatch.setattr(primes, "_table", (2, *primes._WHEEL_PRIMES))
+        monkeypatch.setattr(primes, "_table_limit", 0)
+        assert primes._base_table(1 << 20) == grown
+
+    def test_a_step_of_many_windows(self, fresh_table, monkeypatch):
+        windows = record_windows(monkeypatch, functools.partial(iter_segments, cap=1 << 12))
+        assert primes._base_table(1) == tuple(trial_primes_between(2, 1 << 16))
+        assert len(windows) == 1 + 7 + 10  # the three steps' 156, 28392 and 36975 integers
+        assert_tiled(windows, 13, 1 << 16)
+
+    @pytest.mark.parametrize("held", [0, 1 << 16], ids=["first-growth", "later-growth"])
+    def test_a_growth_cut_short_leaves_the_table_as_it_was(self, fresh_table, monkeypatch,
+                                                          held):
+        if held:
+            primes._base_table(held)
+        table, target = primes._table, max(held, 1 << 15) * 2
+
+        def cut(lo, hi):  # whole steps up to the last, then its first window and a failure
+            if hi == target:
+                yield next(iter_segments(lo, hi, cap=1 << 12))
+                raise MemoryError
+            yield from iter_segments(lo, hi)
+
+        monkeypatch.setattr(primes, "iter_segments", cut)
+        with pytest.raises(MemoryError):
+            primes._base_table(target)
+        assert primes._table is table and primes._table_limit == held
+        monkeypatch.setattr(primes, "iter_segments", iter_segments)
+        assert len(primes._base_table(held + 1)) == lucy_prime_pi(target)
 
 
 class TestBaseTableCap:
     """primes._base_table refuses a bound past its cap before it builds anything."""
 
     @pytest.fixture
-    def builds(self, monkeypatch):
-        built = []  # the limit of each table built; none is, for real
-        monkeypatch.setattr(primes, "base_primes", lambda limit: built.append(limit) or (2,))
-        monkeypatch.setattr(primes, "_table", ())
-        monkeypatch.setattr(primes, "_table_limit", 0)
+    def builds(self, monkeypatch, fresh_table):
+        built = []  # the (lo, hi) of each stretch the growth asks for; none is sieved
+        monkeypatch.setattr(primes, "iter_segments", lambda lo, hi: built.append((lo, hi)) or ())
         return built
 
     def test_the_cap_itself_is_built(self, builds):
         primes._base_table(primes._BASE_TABLE_CAP)
-        assert builds == [primes._BASE_TABLE_CAP]
+        assert builds == [(14, 169), (170, 169**2), (169**2 + 1, primes._BASE_TABLE_CAP)]
 
     @pytest.mark.parametrize("bound", [(1 << 27) + 1, 1 << 31, (1 << 32) - 1])
     def test_past_the_cap_is_refused_unbuilt(self, builds, bound):
@@ -326,11 +399,13 @@ class TestBaseTableCap:
             primes._base_table(bound)
         assert builds == []
 
-    def test_iter_primes_next_to_two_to_the_64_raises_at_its_first_next(self, builds):
+    def test_iter_primes_next_to_two_to_the_64_raises_at_its_first_next(self, fresh_table,
+                                                                         monkeypatch):
+        windows = record_windows(monkeypatch)
         primes_from = iter_primes((1 << 64) - 100)  # a generator: the call itself checks nothing
         with pytest.raises(OutOfBounds, match=r"table cap 2\*\*27"):
             next(primes_from)
-        assert builds == []
+        assert windows == [] and primes._table_limit == 0
 
 
 class TestIsPrime:

@@ -14,7 +14,7 @@ from goldbach_lab import primes, sweep
 from goldbach_lab.cli import main
 from goldbach_lab.dc import dc_min, goldbach_pairs
 from goldbach_lab.errors import CheckpointMismatch, NotEven, OutOfBounds, SegmentTooLarge
-from goldbach_lab.primes import SEGMENT_CAP, base_primes
+from goldbach_lab.primes import SEGMENT_CAP, iter_segments
 from goldbach_lab.sweep import (
     CHECKPOINT_VERSION,
     SweepCheckpoint,
@@ -196,19 +196,20 @@ class TestVerifyBlock:
     def test_one_small_prime_table_per_process(self, monkeypatch):
         # the sieve core, the pair pass and dc_min's pair search read the one
         # table primes._base_table keeps; a smaller bound reads it as it is
-        builds = []
+        asked = []  # the (lo, hi) of each stretch the table's growth sieves
 
-        def build(limit):
-            builds.append(limit)
-            return base_primes(limit)
+        def walk(lo, hi, **kw):
+            asked.append((lo, hi))
+            return iter_segments(lo, hi, **kw)
 
-        monkeypatch.setattr(primes, "_table", ())
+        monkeypatch.setattr(primes, "_table", (2, *primes._WHEEL_PRIMES))
         monkeypatch.setattr(primes, "_table_limit", 0)
-        monkeypatch.setattr(primes, "base_primes", build)
+        monkeypatch.setattr(primes, "iter_segments", walk)
         verify_block(10**12, 10**12 + 2000)  # the primes up to isqrt(hi), rounded up to 2^20
+        assert asked == [(14, 169), (170, 169**2), (169**2 + 1, 1 << 20)]  # one growth
         dc_min(10**12 + 2)
         verify_block(10**10, 10**10 + 2000)
-        assert builds == [1 << 20]
+        assert len(asked) == 3 and primes._table_limit == 1 << 20
 
     # the sieved window of a block from 10^6 is [10^6 - B, hi]
     CAPPED = (10**6, 10**6 - B + SEGMENT_CAP - 2)  # the widest even hi under the cap
@@ -397,7 +398,7 @@ class TestRunVerify:
 
     def test_the_table_is_built_before_the_first_fork(self, monkeypatch):
         # so the forked workers inherit one table instead of each building it
-        monkeypatch.setattr(primes, "_table", ())
+        monkeypatch.setattr(primes, "_table", (2, *primes._WHEEL_PRIMES))
         monkeypatch.setattr(primes, "_table_limit", 0)
         limits = []
         real_fork = os.fork

@@ -17,22 +17,21 @@ audit composes the other engines: the census walk counts the rows, and one
 such a pair for each or raises.  So an audited even's ``dc_value`` is 2 and
 its checks depend on the census alone, as the row checks do.
 
-The audit works by census group (``_audit_groups``): the walk keeps one group
-index per row and one ``RowCensus`` per distinct census, with no record per
-row.  Each group's row and even checks are evaluated once, and the verdict
-summary tallies them once per group, weighted by the group's rows and evens.
-The CLI renders from these groups; ``audit_range`` builds its reports from
-them, so rows with equal censuses share one census object and its two checks
-tuples.
+The audit works by census group (``_audit_groups``): each walk of the rows
+keeps one ``RowCensus`` per distinct census and nothing per row.  Each
+group's checks are evaluated and rendered once per walk, and the verdict
+summary tallies them once per group, weighted by the rows counted as they
+pass.  ``audit_range`` builds its reports from one walk, so rows with equal
+censuses share one census object and its two checks tuples.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from ._record import Record
-from .census import RowCensus, _census_groups, _CensusGroups
+from .census import RowCensus, _census_groups
 from .errors import GoldbachCounterexample
 from .rowrange import Range, Row
 from .sweep import run_verify
@@ -270,51 +269,50 @@ def summarize(reports: Sequence[AuditReport]) -> dict[str, dict[str, int]]:
 
 
 class _AuditGroups(Record):
-    """An audit by census group: the rows' census groups, the row and even
-    checks of group g (``checks[g]``), and the verdict summary."""
+    """A checked audit: its rows' census walk, the relation ids wanted and the
+    rows' starts.  walk(render) walks afresh: it returns the census groups, in
+    order of first row, and the rows, (start, end, group) as each row ends.  A
+    group is [render(census, row_checks, even_checks), census, row_checks,
+    even_checks, rows], and a renderer that prints the summary counts the rows."""
 
-    __slots__ = ("census", "checks", "summary")
+    __slots__ = ("census", "wanted", "starts")
 
-    def __init__(
-        self, census: _CensusGroups,
-        checks: list[tuple[tuple[RelationCheck, ...], tuple[RelationCheck, ...]]],
-        summary: dict[str, dict[str, int]],
-    ) -> None:
-        self._store(census, checks, summary)
+    def __init__(self, census: Callable, wanted: frozenset[str], starts: range) -> None:
+        self._store(census, wanted, starts)
+
+    def walk(self, render: Callable) -> tuple[list[list], Iterator[tuple[int, int, list]]]:
+        groups: list[list] = []
+
+        def checked(census: RowCensus) -> list:  # the checks read the census alone: A = 4 will do
+            checks = [tuple(c for c in cs if c.relation_id in self.wanted) for cs in (
+                evaluate_row_relations(census), evaluate_even_relations(4, _DC_VALUE, census))]
+            groups.append([render(census, *checks), census, *checks, 0])
+            return groups[-1]
+
+        return groups, self.census(checked)
+
+    def summary(self, groups: list[list]) -> dict[str, dict[str, int]]:
+        """The verdict summary of a walk's counted groups.  Even checks count once
+        per even A > 2: rows times evens, less one for the row holding 2, row 0
+        or 1, which is also group 0 or 1, since {1} and {2} differ in census."""
+        s = self.starts
+        two = (2 - s.start) // s.step if s.start <= 2 < s.stop else -1
+        return _tally(pair for g, (_, census, row_checks, even_checks, rows) in enumerate(groups)
+                      for pair in ((row_checks, rows),
+                                   (even_checks, rows * census.gamma_even - (g == two))))
 
 
 def _audit_groups(
     rng: Range, width: int, relations: Optional[Sequence[str]] = None, *, workers: int = 1
 ) -> _AuditGroups:
-    """The audit of every partition row of a range, by census group.
-
-    The census walk and its width refusals, and then the pair proof, run
-    here, before anything is rendered.  A group's even checks serve each even
-    A > 2 of its rows: a row's count of them is its even count, less one for
-    the row holding 2.
-    """
+    """Check an audit of every partition row of a range: the census walk's
+    refusals, and then the pair proof, run here, before anything renders."""
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")
     wanted = _relation_filter(relations)
     census = _census_groups(rng, width)
     _prove_pairs(rng.start, rng.end, workers)
-    checks = [  # the checks read the census alone, so A = 4 stands for any even
-        tuple(
-            tuple(c for c in group if c.relation_id in wanted)
-            for group in (evaluate_row_relations(c), evaluate_even_relations(4, _DC_VALUE, c))
-        )
-        for c in census.censuses
-    ]
-    n_rows = Counter(census.index)
-    n_evens = [n_rows[g] * c.gamma_even for g, c in enumerate(census.censuses)]
-    if rng.start <= 2 <= rng.end:
-        n_evens[census.index[(2 - rng.start) // width]] -= 1
-    summary = _tally(
-        pair
-        for g, (row_checks, even_checks) in enumerate(checks)
-        for pair in ((row_checks, n_rows[g]), (even_checks, n_evens[g]))
-    )
-    return _AuditGroups(census, checks, summary)
+    return _AuditGroups(census, wanted, range(rng.start, rng.end + 1, width))
 
 
 def audit_range(
@@ -326,10 +324,11 @@ def audit_range(
     order, so the output is identical for any worker count.
     """
     audit = _audit_groups(rng, width, relations, workers=workers)
-    censuses = audit.census.censuses
+    groups, rows = audit.walk(lambda *checked: None)
     reports = []
-    for start, end, g in audit.census.rows():
-        row_checks, even_checks = audit.checks[g]
+    for start, end, group in rows:
+        group[-1] += 1
+        _, census, row_checks, even_checks, _ = group
         even_checks = even_checks if _evens(start, end) else ()
-        reports.append(AuditReport(Row(start, end), censuses[g], row_checks, even_checks))
-    return RangeAudit(tuple(reports), audit.summary)
+        reports.append(AuditReport(Row(start, end), census, row_checks, even_checks))
+    return RangeAudit(tuple(reports), audit.summary(groups))

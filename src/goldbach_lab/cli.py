@@ -98,10 +98,10 @@ def cmd_audit(args: argparse.Namespace) -> Iterable[str]:
 
 
 def cmd_census(args: argparse.Namespace) -> Iterable[str]:
-    groups = _census_groups(Range(args.from_, args.to), args.row_width)
+    walk = _census_groups(Range(args.from_, args.to), args.row_width)  # refusals run here
     if args.format == "json":
-        return serialize.census_json(groups, _row_params(args))
-    return serialize.census_csv(groups) if args.format == "csv" else serialize.census_text(groups)
+        return serialize.census_json(walk, _row_params(args))
+    return serialize.census_csv(walk) if args.format == "csv" else serialize.census_text(walk)
 
 
 def cmd_dc(args: argparse.Namespace) -> str:
@@ -113,13 +113,11 @@ def cmd_dc(args: argparse.Namespace) -> str:
     return serialize.to_json("dc", params, serialize.dc_payload(result, pairs))
 
 
-def cmd_sieve(args: argparse.Namespace) -> str:
+def cmd_sieve(args: argparse.Namespace) -> Iterable[str]:
     seg = sieve_segment(args.from_, args.to)
     if args.format == "json":
-        payload = serialize.segment_payload(seg, include_primes=args.list)
-        return serialize.to_json("sieve", {"from": args.from_, "to": args.to}, payload)
-    listing = " ".join(str(p) for p in seg.primes()) + "\n" if args.list else ""
-    return f"primes in [{seg.lo}, {seg.hi}]: {seg.count()}\n{listing}"
+        return serialize._sieve_json(seg, {"from": args.from_, "to": args.to}, args.list)
+    return serialize._sieve_text(seg, args.list)
 
 
 def cmd_partition(args: argparse.Namespace) -> Iterable[str]:

@@ -51,7 +51,7 @@ NTH_PRIME_LIMIT = 1 << 32  # largest value nth_prime will sieve toward
 _WORD_LIMIT = 1 << 64
 _BASE_TABLE_STEP = 1 << 16  # base-prime tables are built in multiples of this
 _BASE_TABLE_CAP = 1 << 27  # the largest table bound; building the table to it peaks at 399 MiB
-_PRIME_CHUNK = 1 << 16  # integers iter_primes sieves, and nth_prime counts, at a time
+_PRIME_CHUNK = 1 << 16  # integers iter_primes sieves, and a segment's _parts hold, at a time
 _CHUNK = 1 << 20  # odds struck at a time by the small primes of a window of two or more
 _CHUNK_PRIMES = 1 << 14  # the small primes: each strikes a chunk at least 64 times
 
@@ -242,6 +242,10 @@ class PrimeSegment(Record):
         start, end = self._odds(lo, hi)
         return PrimeSegment(lo, hi, self.digits[start:end])
 
+    def _parts(self) -> Iterator[PrimeSegment]:  # _PRIME_CHUNK integers each, from lo on
+        for a in range(self.lo, self.hi + 1, _PRIME_CHUNK):
+            yield self.restrict(a, min(a + _PRIME_CHUNK - 1, self.hi))
+
 
 def sieve_segment(lo: int, hi: int) -> PrimeSegment:
     """Sieve the closed interval [lo, hi], where 1 <= lo <= hi < (2**27 + 1)**2:
@@ -290,11 +294,10 @@ def nth_prime(x: int) -> int:
         raise OutOfBounds(f"prime #{x} would need sieving past {NTH_PRIME_LIMIT}")
     remaining = x
     for seg in iter_segments(1, bound):
-        for a in range(seg.lo, seg.hi + 1, _PRIME_CHUNK):
-            b = min(a + _PRIME_CHUNK - 1, seg.hi)
-            in_part = seg.count(a, b)
+        for part in seg._parts():
+            in_part = part.count()
             if remaining <= in_part:
-                return seg.restrict(a, b).primes()[remaining - 1]
+                return part.primes()[remaining - 1]
             remaining -= in_part
     raise OutOfBounds(f"bound {bound} did not reach prime #{x}")
 

@@ -4,19 +4,20 @@ Serialized output is byte-stable: keys are sorted, number formatting is
 fixed, and no timestamps or timing figures enter JSON payloads (wall time
 belongs to the text rendering and stderr only).
 
-``to_json`` writes a single-object payload; every row list streams through
-one list writer, ``_listed``, in the bytes ``to_json`` would write.
+``to_json`` writes a single-object payload; every row list and the sieve's prime list
+stream through one list writer, ``_listed``, in the bytes ``to_json`` would write.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain, repeat
-from typing import Any, Iterable, Iterator, Union
+from array import array
+from itertools import chain, count, repeat
+from typing import Any, Callable, Iterable, Iterator, Union
 
 from . import __version__ as TOOL_VERSION
 from .audit import _DC_VALUE, RelationCheck, _AuditGroups, _evens
-from .census import RowCensus, _CensusGroups
+from .census import RowCensus
 from .dc import DcResult
 from .primes import PrimeSegment
 from .sweep import SweepSummary
@@ -132,26 +133,26 @@ def audit_json(audit: _AuditGroups, parameters: dict[str, Any]) -> Iterator[str]
 
 
 def _audit_payload(audit: _AuditGroups) -> Iterator[str]:
+    groups, rows = audit.walk(_row_template)
     yield '{\n    "rows": '
-    yield from _listed(_json_rows(audit), "\n    ]")
-    yield f',\n    "verdict_summary": {_dumps(audit.summary, 2)}\n  }}'
+    yield from _listed(_json_rows(rows), "\n    ]")
+    yield f',\n    "verdict_summary": {_dumps(audit.summary(groups), 2)}\n  }}'
 
 
-def _json_rows(audit: _AuditGroups) -> Iterator[Iterable[str]]:
-    censuses = audit.census.censuses
-    templates = [_row_template(c, *checks) for c, checks in zip(censuses, audit.checks)]
-    for start, end, g in audit.census.rows():
-        head, pieces, tail = templates[g]
+def _json_rows(rows: Iterator[tuple[int, int, list]]) -> Iterator[Iterable[str]]:
+    for start, end, group in rows:
+        group[-1] += 1  # the summary counts the group's rows
+        head, pieces, tail = group[0]
         evens = _evens(start, end)
         row = f'\n        "row": {{\n          "end": {end},\n          "start": {start}{tail}'
         yield chain((head,), _entries(evens, pieces, ","), ("\n        ]," if evens else "],", row))
 
 
-def census_json(groups: _CensusGroups, parameters: dict[str, Any]) -> Iterator[str]:
+def census_json(walk: Callable, parameters: dict[str, Any]) -> Iterator[str]:
     """to_json("census", parameters, [{"census": ..., "row": ...}, ...]) as chunks."""
-    docs = [_dumps(_census_doc(c), 3) for c in groups.censuses]
-    rows = ((f'    {{\n      "census": {docs[g]},\n      "row": {{\n        "end": {end},'
-             f'\n        "start": {start}\n      }}\n    }}',) for start, end, g in groups.rows())
+    rows = ((f'    {{\n      "census": {doc},\n      "row": {{\n        "end": {end},'
+             f'\n        "start": {start}\n      }}\n    }}',)
+            for start, end, doc in walk(lambda c: _dumps(_census_doc(c), 3)))
     return _envelope("census", parameters, _listed(rows, "\n  ]"))
 
 
@@ -175,11 +176,26 @@ def sweep_payload(summary: SweepSummary) -> dict[str, Any]:
     }
 
 
-def segment_payload(seg: PrimeSegment, include_primes: bool = False) -> dict[str, Any]:
-    doc: dict[str, Any] = {"from": seg.lo, "to": seg.hi, "count": seg.count()}
-    if include_primes:
-        doc["primes"] = seg.primes()
-    return doc
+def _prime_lists(seg: PrimeSegment) -> Iterator[list[int]]:  # of each nonempty seg._parts()
+    return filter(None, map(PrimeSegment.primes, seg._parts()))
+
+
+def _sieve_json(seg: PrimeSegment, parameters: dict[str, Any], listed: bool) -> Iterator[str]:
+    """to_json("sieve", ...) as chunks: "primes" if listed, a _PRIME_CHUNK part at a time."""
+    n = seg.count()
+    rows = ((",\n".join([f"      {p}" for p in primes]),) for primes in _prime_lists(seg))
+    primes = chain(('\n    "primes": ',), _listed(rows, "\n    ]," if n else "],"))
+    head = f'{{\n    "count": {n},\n    "from": {seg.lo},'
+    payload = chain((head,), primes if listed else (), (f'\n    "to": {seg.hi}\n  }}',))
+    return _envelope("sieve", parameters, payload)
+
+
+def _sieve_text(seg: PrimeSegment, listed: bool) -> Iterator[str]:
+    """The count line, and if listed the primes, space-separated, a part at a time."""
+    yield f"primes in [{seg.lo}, {seg.hi}]: {seg.count()}\n"
+    if listed:
+        texts = (" ".join(map(str, primes)) for primes in _prime_lists(seg))
+        yield from _chunked(chain((next(texts, ""),), (" " + text for text in texts), ("\n",)))
 
 
 def partition_json(starts: range, width: int, parameters: dict[str, Any]) -> Iterator[str]:
@@ -222,29 +238,31 @@ def audit_csv(audit: _AuditGroups) -> Iterator[str]:
     No cell needs quoting, so every line is a plain join.  The text after a
     row's row_start,row_end renders once per census group, and the text after
     an even's row_start,A once per group too; each row or even then adds only
-    its own prefix.
+    its own prefix.  The walk runs once: the row table keeps each row's group
+    id, 4 bytes a row, for the even table.
     """
-    census = audit.census
-    row_pieces = [  # a row's check lines, as the pieces its "row_start,row_end" joins
-        ["", *(f"{_census_cells(c)},{_check_line(check)}" for check in row_checks)]
-        for c, (row_checks, _) in zip(census.censuses, audit.checks)
-    ]
-    even_tails = [[f",{_DC_VALUE},{_check_line(c)}" for c in checks] for _, checks in audit.checks]
+    ids = count()  # a group's id is its place in groups
+    groups, rows = audit.walk(lambda c, row_checks, even_checks: (
+        next(ids),
+        ["", *(f"{_census_cells(c)},{_check_line(check)}" for check in row_checks)],
+        ["", *(f",{_DC_VALUE},{_check_line(check)}" for check in even_checks)]))
+    kept = array("I")  # array.append returns None
     yield f"{_CENSUS_COLUMNS},{_CHECK_COLUMNS}\n"
-    yield from _chunked(f"{start},{end}".join(row_pieces[g]) for start, end, g in census.rows())
+    yield from _chunked(f"{start},{end}".join(group[0][1])
+                        for start, end, group in rows if not kept.append(group[0][0]))
     yield f"\nrow_start,A,dc_value,{_CHECK_COLUMNS}\n"
-    if even_tails[0]:  # every group has the same relations; "row_start,A" joins the pieces
-        even_pieces = [["", *tails] for tails in even_tails]
+    if groups[0][3]:  # every group has the same relations; "row_start,A" joins the pieces
+        width, pieces = audit.starts.step, [group[0][2] for group in groups]
         yield from _chunked(
-            chunk for start, end, g in census.rows()
-            for chunk in _entries(_evens(start, end), even_pieces[g], prefix=f"{start},")
+            chunk for start, g in zip(audit.starts, kept)
+            for chunk in _entries(_evens(start, start + width - 1), pieces[g], prefix=f"{start},")
         )
 
 
-def census_csv(groups: _CensusGroups) -> Iterator[str]:
-    tails = [_census_cells(c) + "\n" for c in groups.censuses]
+def census_csv(walk: Callable) -> Iterator[str]:
     yield f"{_CENSUS_COLUMNS}\n"
-    yield from _chunked(f"{start},{end}{tails[g]}" for start, end, g in groups.rows())
+    tails = walk(lambda c: _census_cells(c) + "\n")
+    yield from _chunked(f"{start},{end}{tail}" for start, end, tail in tails)
 
 
 # ---------------------------------------------------------------------------
@@ -269,29 +287,25 @@ def _row_check_text(checks: tuple[RelationCheck, ...]) -> str:
 
 
 def audit_text(audit: _AuditGroups) -> Iterator[str]:
-    yield from _chunked(_text_rows(audit))
+    groups, rows = audit.walk(lambda c, row_checks, even_checks: (
+        _census_text(c) + _row_check_text(row_checks),  # a row's lines after "row start..end"
+        ["  A=", f" dc={_DC_VALUE}{_failing_note(even_checks)}\n"]))  # the pieces A joins
+    yield from _chunked(_text_rows(rows))
     yield "summary (held/failed):\n"
-    for rid, counts in audit.summary.items():
+    for rid, counts in audit.summary(groups).items():
         yield f"  {rid}: {counts['held']}/{counts['failed']}\n"
 
 
-def _text_rows(audit: _AuditGroups) -> Iterator[str]:
-    row_text = [  # a row's lines after "row start..end"
-        _census_text(c) + _row_check_text(row_checks)
-        for c, (row_checks, _) in zip(audit.census.censuses, audit.checks)
-    ]
-    even_pieces = [  # an even's line, as the pieces its A joins
-        ["  A=", f" dc={_DC_VALUE}{_failing_note(even_checks)}\n"]
-        for _, even_checks in audit.checks
-    ]
-    for start, end, g in audit.census.rows():
-        yield f"row {start}..{end}{row_text[g]}"
-        yield from _entries(_evens(start, end), even_pieces[g])
+def _text_rows(rows: Iterator[tuple[int, int, list]]) -> Iterator[str]:
+    for start, end, group in rows:
+        group[-1] += 1  # the summary counts the group's rows
+        row_text, even_pieces = group[0]
+        yield f"row {start}..{end}{row_text}"
+        yield from _entries(_evens(start, end), even_pieces)
 
 
-def census_text(groups: _CensusGroups) -> Iterator[str]:
-    tails = [_census_text(c) for c in groups.censuses]
-    return _chunked(f"row {start}..{end}{tails[g]}" for start, end, g in groups.rows())
+def census_text(walk: Callable) -> Iterator[str]:
+    return _chunked(f"row {start}..{end}{tail}" for start, end, tail in walk(_census_text))
 
 
 def dc_text(result: DcResult, pairs: Union[list[tuple[int, int]], None] = None) -> str:

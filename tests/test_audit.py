@@ -271,6 +271,22 @@ class TestAggregation:
         assert audit.summarize(mixed) == summary
         assert list(audit.summarize(mixed)) == list(summary)
 
+    @pytest.mark.parametrize("start, width, rows", [(1, 1, 6), (2, 1, 5), (1, 2, 4), (2, 3, 3),
+                                                    (1, 7, 2), (3, 1, 4)])
+    def test_every_render_counts_the_row_of_two_once(self, start, width, rows):
+        # 2 is the one even without per-even checks; row 0 or 1 holds it, and
+        # each render of the walk counts its own rows for the summary
+        rng = Range(start, start + width * rows - 1)
+        summary = naive_summary(audit_range(rng, width).reports)
+        assert audit_range(rng, width).summary == summary
+        groups = audit._audit_groups(rng, width)
+        for _ in range(2):
+            doc = json.loads("".join(serialize.audit_json(groups, {})))
+            assert doc["payload"]["verdict_summary"] == summary
+            text = "".join(serialize.audit_text(groups))
+            lines = "".join(f"  {rid}: {c['held']}/{c['failed']}\n" for rid, c in summary.items())
+            assert text.endswith(f"summary (held/failed):\n{lines}")
+
     def test_dc_values_exact_when_the_fallback_runs(self, monkeypatch):
         # with 3 as the only pair prime, most evens reach the sweep's fallback
         monkeypatch.setattr(sweep, "_PAIR_PRIME_BOUND", 3)

@@ -13,7 +13,7 @@ from goldbach_lab import cli, serialize, sweep
 from goldbach_lab.audit import AuditReport
 from goldbach_lab.census import RowCensus, census_range
 from goldbach_lab.cli import main
-from goldbach_lab.primes import is_prime
+from goldbach_lab.primes import is_prime, sieve_segment
 from goldbach_lab.rowrange import Range, Row
 from goldbach_lab.sweep import CHECKPOINT_VERSION, SweepCheckpoint, write_checkpoint
 
@@ -323,8 +323,9 @@ ROW_LISTS += [("partition", "json"), ("partition", "text")]
 
 
 class TestRowsByCensusGroup:
-    """audit and census render from one group index per row, and partition from
-    row arithmetic, not from records."""
+    """audit and census render each row as the census walk hands it over, with
+    one census per group and nothing kept per row, and partition from row
+    arithmetic, not from records."""
 
     @pytest.mark.parametrize("command, fmt", ROW_LISTS, ids=["-".join(c) for c in ROW_LISTS])
     def test_no_record_per_row(self, command, fmt, monkeypatch, tmp_path):
@@ -351,16 +352,20 @@ class TestRowsByCensusGroup:
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM from procfs")
     def test_many_row_census_peak_is_bounded(self, tmp_path):
-        # 10^6 rows; a Row and a RowCensus per row, and the CSV built as one
-        # string, peaked at 378 MiB
+        # 2.5 * 10^6 rows; a Row and a RowCensus per row, and the CSV built as
+        # one string, peaked at 378 MiB for 10^6 rows, and a 4-byte group index
+        # per row at 26 MiB for these; streamed, they peak near 17 MiB
+        rows = 2_500_000
         out = tmp_path / "census.csv"
-        argv = ["census", "--from", "1", "--to", str(10**6), "--row-width", "1",
+        argv = ["census", "--from", "1", "--to", str(rows), "--row-width", "1",
                 "--format", "csv", "--output", str(out)]
         peak_kib = peak_kib_of_cli(*argv)
-        assert peak_kib < 40 * 1024, f"peak RSS {peak_kib} KiB"
+        assert peak_kib < 22 * 1024, f"peak RSS {peak_kib} KiB"
         with open(out) as fh:
-            assert sum(1 for _ in fh) == 1 + 10**6
-        assert out.read_text().endswith("\n1000000,1000000,1,0,0,1\n")
+            assert sum(1 for _ in fh) == 1 + rows
+        with open(out, "rb") as fh:
+            fh.seek(-100, os.SEEK_END)
+            assert fh.read().endswith(b"\n2499999,2499999,0,1,0,1\n2500000,2500000,1,0,0,1\n")
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM from procfs")
     @pytest.mark.parametrize("command, fmt, tail", [
@@ -455,6 +460,32 @@ class TestSieveAndPartition:
             capsys, "sieve", "--from", "1", "--to", "10", "--list", "--format", "json"
         )
         assert json.loads(out)["payload"]["primes"] == [2, 3, 5, 7]
+
+    # a span with no primes, the span of the golden digests, and spans of
+    # several 2^16-integer parts, one with no primes in some of its parts
+    @pytest.mark.parametrize("lo, hi", [(24, 28), (1, 1000), (1, 5 * 2**16 + 7),
+                                        (10**12, 10**12 + 3 * 2**16)])
+    def test_sieve_list_streams_the_bytes_of_one_encoding(self, lo, hi, capsys):
+        # the list renders one part of the segment at a time, in the bytes of
+        # encoding the whole list at once: "primes": [] and an empty listing
+        # line for a span with no primes
+        primes = sieve_segment(lo, hi).primes()
+        argv = ["sieve", "--from", str(lo), "--to", str(hi), "--list", "--format"]
+        doc = {"count": len(primes), "from": lo, "primes": primes, "to": hi}
+        _, out, _ = run_cli(capsys, *argv, "json")
+        assert out == serialize.to_json("sieve", {"from": lo, "to": hi}, doc)
+        _, out, _ = run_cli(capsys, *argv, "text")
+        assert out == f"primes in [{lo}, {hi}]: {len(primes)}\n" + " ".join(map(str, primes)) + "\n"
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM from procfs")
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_sieve_list_peak_is_bounded(self, fmt):
+        # 2^24 integers, 1077871 primes: the list built whole, and its whole
+        # text, peaked at 159 MiB for JSON and 146 MiB for text
+        argv = ["sieve", "--from", "1", "--to", str(1 << 24), "--list", "--format", fmt,
+                "--output", os.devnull]
+        peak_kib = peak_kib_of_cli(*argv)
+        assert peak_kib < 48 * 1024, f"peak RSS {peak_kib} KiB"
 
     def test_partition(self, capsys):
         _, out, _ = run_cli(
@@ -632,13 +663,18 @@ class TestSieveDomain:
     @pytest.mark.parametrize("argv", [
         ["verify", "--from", str(1 << 62), "--to", str((1 << 62) + 2000)],
         ["census", "--from", str(1 << 62), "--to", str((1 << 62) + 999), "--row-width", "10"],
+        ["audit", "--from", str(1 << 62), "--to", str((1 << 62) + 999), "--row-width", "10"],
         ["sieve", "--from", str((1 << 64) - 1000), "--to", str((1 << 64) - 1)],
-    ], ids=["verify", "census", "sieve"])
-    def test_refused_past_the_base_prime_table_cap(self, argv, cap_address_space):
-        # their base-prime tables, to 2^31 and 2^32, would take gigabytes to build
+    ], ids=["verify", "census", "audit", "sieve"])
+    def test_refused_past_the_base_prime_table_cap(self, argv, tmp_path, cap_address_space):
+        # their base-prime tables, to 2^31 and 2^32, would take gigabytes to build;
+        # census and audit walk their rows only as the output is written, so
+        # the cap is checked at the call, before main opens --output
+        out = tmp_path / "out"
+        extra = ["--output", str(out)] if argv[0] in ("census", "audit") else []
         started = time.perf_counter()
         proc = subprocess.run(
-            [sys.executable, "-m", "goldbach_lab.cli", *argv],
+            [sys.executable, "-m", "goldbach_lab.cli", *argv, *extra],
             capture_output=True,
             text=True,
             preexec_fn=cap_address_space,
@@ -647,6 +683,7 @@ class TestSieveDomain:
         assert proc.returncode == 2, proc.stderr
         assert time.perf_counter() - started < 1
         assert proc.stderr.startswith("error: ") and "table cap 2**27" in proc.stderr
+        assert not out.exists()
 
     def test_a_sweep_across_the_table_cap_is_refused_at_the_call(
         self, tmp_path, cap_address_space

@@ -17,18 +17,18 @@ audit composes the other engines: the census walk counts the rows, and one
 such a pair for each or raises.  So an audited even's ``dc_value`` is 2 and
 its checks depend on the census alone, as the row checks do.
 
-The audit works by census group (``_audit_groups``): each walk of the rows
-keeps one ``RowCensus`` per distinct census and nothing per row.  Each
-group's checks are evaluated and rendered once per walk, and the verdict
-summary tallies them once per group, weighted by the rows counted as they
-pass.  ``audit_range`` builds its reports from one walk, so rows with equal
-censuses share one census object and its two checks tuples.
+The audit works by census group (``_audit_groups``): its walk hands over
+(start, end, rendered) as each row ends, as the census walk does, evaluates
+and renders each group's checks once, and counts each group's rows itself
+for the verdict summary, so no renderer keeps group state.  ``audit_range``
+builds its reports from one walk, so rows with equal censuses share one
+census object and its two checks tuples.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from ._record import Record
 from .census import RowCensus, _census_groups
@@ -268,51 +268,44 @@ def summarize(reports: Sequence[AuditReport]) -> dict[str, dict[str, int]]:
     )
 
 
-class _AuditGroups(Record):
-    """A checked audit: its rows' census walk, the relation ids wanted and the
-    rows' starts.  walk(render) walks afresh: it returns the census groups, in
-    order of first row, and the rows, (start, end, group) as each row ends.  A
-    group is [render(census, row_checks, even_checks), census, row_checks,
-    even_checks, rows], and a renderer that prints the summary counts the rows."""
-
-    __slots__ = ("census", "wanted", "starts")
-
-    def __init__(self, census: Callable, wanted: frozenset[str], starts: range) -> None:
-        self._store(census, wanted, starts)
-
-    def walk(self, render: Callable) -> tuple[list[list], Iterator[tuple[int, int, list]]]:
-        groups: list[list] = []
-
-        def checked(census: RowCensus) -> list:  # the checks read the census alone: A = 4 will do
-            checks = [tuple(c for c in cs if c.relation_id in self.wanted) for cs in (
-                evaluate_row_relations(census), evaluate_even_relations(4, _DC_VALUE, census))]
-            groups.append([render(census, *checks), census, *checks, 0])
-            return groups[-1]
-
-        return groups, self.census(checked)
-
-    def summary(self, groups: list[list]) -> dict[str, dict[str, int]]:
-        """The verdict summary of a walk's counted groups.  Even checks count once
-        per even A > 2: rows times evens, less one for the row holding 2, row 0
-        or 1, which is also group 0 or 1, since {1} and {2} differ in census."""
-        s = self.starts
-        two = (2 - s.start) // s.step if s.start <= 2 < s.stop else -1
-        return _tally(pair for g, (_, census, row_checks, even_checks, rows) in enumerate(groups)
-                      for pair in ((row_checks, rows),
-                                   (even_checks, rows * census.gamma_even - (g == two))))
-
-
 def _audit_groups(
     rng: Range, width: int, relations: Optional[Sequence[str]] = None, *, workers: int = 1
-) -> _AuditGroups:
-    """Check an audit of every partition row of a range: the census walk's
-    refusals, and then the pair proof, run here, before anything renders."""
+) -> Callable:
+    """Check an audit of every partition row of a range (the census walk's
+    refusals, then the pair proof), and return its walk.  walk(render) walks
+    afresh and returns (rows, summary): rows yields (start, end, render(census,
+    row_checks, even_checks)) as each row ends, each census group checked and
+    rendered at its first row, and summary() tallies the rows walked so far."""
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")
     wanted = _relation_filter(relations)
-    census = _census_groups(rng, width)
+    census_walk = _census_groups(rng, width)
     _prove_pairs(rng.start, rng.end, workers)
-    return _AuditGroups(census, wanted, range(rng.start, rng.end + 1, width))
+    two = (2 - rng.start) // width if rng.start <= 2 else -1  # the row holding 2, if any
+
+    def walk(render: Callable) -> tuple[Iterator[tuple[int, int, Any]], Callable]:
+        groups: list[list] = []  # [census, row_checks, even_checks, rows], by first row
+
+        def checked(census: RowCensus) -> tuple:  # the checks read the census alone: A = 4 will do
+            checks = [tuple(c for c in cs if c.relation_id in wanted) for cs in (
+                evaluate_row_relations(census), evaluate_even_relations(4, _DC_VALUE, census))]
+            groups.append([census, *checks, 0])
+            return render(census, *checks), groups[-1]
+
+        def rows() -> Iterator[tuple[int, int, Any]]:
+            for start, end, (rendered, group) in census_walk(checked):
+                group[-1] += 1
+                yield start, end, rendered
+
+        def summary() -> dict[str, dict[str, int]]:  # even checks count once per even A > 2:
+            # rows times evens, less one for the row of 2, row 0 or 1, which is also
+            # group 0 or 1, since {1} and {2} differ in census
+            return _tally(pair for g, (census, row_checks, even_checks, n) in enumerate(groups)
+                          for pair in ((row_checks, n),
+                                       (even_checks, n * census.gamma_even - (g == two))))
+
+        return rows(), summary
+    return walk
 
 
 def audit_range(
@@ -323,12 +316,8 @@ def audit_range(
     ``workers`` parallelises the pair pass alone, which merges its blocks in
     order, so the output is identical for any worker count.
     """
-    audit = _audit_groups(rng, width, relations, workers=workers)
-    groups, rows = audit.walk(lambda *checked: None)
-    reports = []
-    for start, end, group in rows:
-        group[-1] += 1
-        _, census, row_checks, even_checks, _ = group
-        even_checks = even_checks if _evens(start, end) else ()
-        reports.append(AuditReport(Row(start, end), census, row_checks, even_checks))
-    return RangeAudit(tuple(reports), audit.summary(groups))
+    rows, summary = _audit_groups(rng, width, relations, workers=workers)(lambda *checked: checked)
+    reports = tuple(AuditReport(Row(start, end), census, row_checks,
+                                even_checks if _evens(start, end) else ())
+                    for start, end, (census, row_checks, even_checks) in rows)
+    return RangeAudit(reports, summary())

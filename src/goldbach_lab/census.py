@@ -1,4 +1,6 @@
-"""Per-row counts of evens, odds, and primes."""
+"""Per-row counts of evens, odds, and primes, from the package's one row walk:
+``_census_groups`` hands over (start, end, rendered) as each row ends, where
+rendered is the caller's render of the row's census; the audit's walk does too."""
 
 from __future__ import annotations
 

@@ -91,10 +91,12 @@ def cmd_verify(args: argparse.Namespace) -> str:
 
 def cmd_audit(args: argparse.Namespace) -> Iterable[str]:
     # refusals and the pair proof run here, before main opens the output
-    audit = _audit_groups(Range(args.from_, args.to), args.row_width, workers=args.workers)
+    walk = _audit_groups(Range(args.from_, args.to), args.row_width, workers=args.workers)
     if args.format == "json":
-        return serialize.audit_json(audit, _row_params(args))
-    return serialize.audit_csv(audit) if args.format == "csv" else serialize.audit_text(audit)
+        return serialize.audit_json(walk, _row_params(args))
+    if args.format == "csv":
+        return serialize.audit_csv(walk, range(args.from_, args.to + 1, args.row_width))
+    return serialize.audit_text(walk)
 
 
 def cmd_census(args: argparse.Namespace) -> Iterable[str]:
@@ -116,8 +118,8 @@ def cmd_dc(args: argparse.Namespace) -> str:
 def cmd_sieve(args: argparse.Namespace) -> Iterable[str]:
     seg = sieve_segment(args.from_, args.to)
     if args.format == "json":
-        return serialize._sieve_json(seg, {"from": args.from_, "to": args.to}, args.list)
-    return serialize._sieve_text(seg, args.list)
+        return serialize.sieve_json(seg, {"from": args.from_, "to": args.to}, args.list)
+    return serialize.sieve_text(seg, args.list)
 
 
 def cmd_partition(args: argparse.Namespace) -> Iterable[str]:
@@ -126,7 +128,7 @@ def cmd_partition(args: argparse.Namespace) -> Iterable[str]:
     starts = range(args.from_, args.to + 1, width)
     if args.format == "json":
         return serialize.partition_json(starts, width, _row_params(args))
-    return serialize._chunked(f"row {s}..{s + width - 1}\n" for s in starts)
+    return serialize.partition_text(starts, width)
 
 
 def _verify_arguments(p: argparse.ArgumentParser) -> None:

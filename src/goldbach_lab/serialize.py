@@ -6,17 +6,20 @@ belongs to the text rendering and stderr only).
 
 ``to_json`` writes a single-object payload; every row list and the sieve's prime list
 stream through one list writer, ``_listed``, in the bytes ``to_json`` would write.
+Row renderers read a walk's (start, end, rendered) rows and keep no group state:
+the audit walk counts its groups for the summary, and the CSV audit alone keeps
+each row's 4-byte group id, for its even table.
 """
 
 from __future__ import annotations
 
 import json
 from array import array
-from itertools import chain, count, repeat
+from itertools import chain, repeat
 from typing import Any, Callable, Iterable, Iterator, Union
 
 from . import __version__ as TOOL_VERSION
-from .audit import _DC_VALUE, RelationCheck, _AuditGroups, _evens
+from .audit import _DC_VALUE, RelationCheck, _evens
 from .census import RowCensus
 from .dc import DcResult
 from .primes import PrimeSegment
@@ -123,26 +126,24 @@ def _row_template(
     )
 
 
-def audit_json(audit: _AuditGroups, parameters: dict[str, Any]) -> Iterator[str]:
+def audit_json(walk: Callable, parameters: dict[str, Any]) -> Iterator[str]:
     """to_json("audit", parameters, {"rows": ..., "verdict_summary": ...}) as chunks.
 
     Each census group renders its row template once; each per-even entry is
     then prefix + str(A) + suffix, and each row adds its start and end.
     """
-    return _envelope("audit", parameters, _audit_payload(audit))
+    return _envelope("audit", parameters, _audit_payload(walk))
 
 
-def _audit_payload(audit: _AuditGroups) -> Iterator[str]:
-    groups, rows = audit.walk(_row_template)
+def _audit_payload(walk: Callable) -> Iterator[str]:
+    rows, summary = walk(_row_template)
     yield '{\n    "rows": '
     yield from _listed(_json_rows(rows), "\n    ]")
-    yield f',\n    "verdict_summary": {_dumps(audit.summary(groups), 2)}\n  }}'
+    yield f',\n    "verdict_summary": {_dumps(summary(), 2)}\n  }}'
 
 
-def _json_rows(rows: Iterator[tuple[int, int, list]]) -> Iterator[Iterable[str]]:
-    for start, end, group in rows:
-        group[-1] += 1  # the summary counts the group's rows
-        head, pieces, tail = group[0]
+def _json_rows(rows: Iterator[tuple[int, int, tuple]]) -> Iterator[Iterable[str]]:
+    for start, end, (head, pieces, tail) in rows:
         evens = _evens(start, end)
         row = f'\n        "row": {{\n          "end": {end},\n          "start": {start}{tail}'
         yield chain((head,), _entries(evens, pieces, ","), ("\n        ]," if evens else "],", row))
@@ -180,7 +181,7 @@ def _prime_lists(seg: PrimeSegment) -> Iterator[list[int]]:  # of each nonempty 
     return filter(None, map(PrimeSegment.primes, seg._parts()))
 
 
-def _sieve_json(seg: PrimeSegment, parameters: dict[str, Any], listed: bool) -> Iterator[str]:
+def sieve_json(seg: PrimeSegment, parameters: dict[str, Any], listed: bool) -> Iterator[str]:
     """to_json("sieve", ...) as chunks: "primes" if listed, a _PRIME_CHUNK part at a time."""
     n = seg.count()
     rows = ((",\n".join([f"      {p}" for p in primes]),) for primes in _prime_lists(seg))
@@ -190,7 +191,7 @@ def _sieve_json(seg: PrimeSegment, parameters: dict[str, Any], listed: bool) -> 
     return _envelope("sieve", parameters, payload)
 
 
-def _sieve_text(seg: PrimeSegment, listed: bool) -> Iterator[str]:
+def sieve_text(seg: PrimeSegment, listed: bool) -> Iterator[str]:
     """The count line, and if listed the primes, space-separated, a part at a time."""
     yield f"primes in [{seg.lo}, {seg.hi}]: {seg.count()}\n"
     if listed:
@@ -205,6 +206,10 @@ def partition_json(starts: range, width: int, parameters: dict[str, Any]) -> Ite
     close = f'\n    ],\n    "to": {starts[-1] + width - 1},\n    "width": {width}\n  }}'
     payload = chain((f'{{\n    "from": {starts.start},\n    "rows": ',), _listed(rows, close))
     return _envelope("partition", parameters, payload)
+
+
+def partition_text(starts: range, width: int) -> Iterator[str]:
+    return _chunked(f"row {s}..{s + width - 1}\n" for s in starts)
 
 
 # ---------------------------------------------------------------------------
@@ -232,29 +237,32 @@ def _census_cells(c: RowCensus) -> str:
     return f",{c.gamma_even},{c.gamma_odd},{c.gamma_prime},{c.m}"
 
 
-def audit_csv(audit: _AuditGroups) -> Iterator[str]:
+def audit_csv(walk: Callable, starts: range) -> Iterator[str]:
     """Two flat tables: per-row checks, a blank line, then per-A checks.
 
     No cell needs quoting, so every line is a plain join.  The text after a
     row's row_start,row_end renders once per census group, and the text after
     an even's row_start,A once per group too; each row or even then adds only
     its own prefix.  The walk runs once: the row table keeps each row's group
-    id, 4 bytes a row, for the even table.
+    id, 4 bytes a row, for the even table over the rows' starts.
     """
-    ids = count()  # a group's id is its place in groups
-    groups, rows = audit.walk(lambda c, row_checks, even_checks: (
-        next(ids),
-        ["", *(f"{_census_cells(c)},{_check_line(check)}" for check in row_checks)],
-        ["", *(f",{_DC_VALUE},{_check_line(check)}" for check in even_checks)]))
+    pieces: list[list[str]] = []  # each group's even pieces; a group's id is its place here
+
+    def render(c: RowCensus, row_checks: tuple, even_checks: tuple) -> tuple[int, list[str]]:
+        pieces.append(["", *(f",{_DC_VALUE},{_check_line(check)}" for check in even_checks)])
+        return len(pieces) - 1, ["", *(f"{_census_cells(c)},{_check_line(check)}"
+                                       for check in row_checks)]
+
+    rows, _ = walk(render)
     kept = array("I")  # array.append returns None
     yield f"{_CENSUS_COLUMNS},{_CHECK_COLUMNS}\n"
-    yield from _chunked(f"{start},{end}".join(group[0][1])
-                        for start, end, group in rows if not kept.append(group[0][0]))
+    yield from _chunked(f"{start},{end}".join(row_pieces)
+                        for start, end, (g, row_pieces) in rows if not kept.append(g))
     yield f"\nrow_start,A,dc_value,{_CHECK_COLUMNS}\n"
-    if groups[0][3]:  # every group has the same relations; "row_start,A" joins the pieces
-        width, pieces = audit.starts.step, [group[0][2] for group in groups]
+    if pieces[0][1:]:  # every group has the same relations; "row_start,A" joins the pieces
+        width = starts.step
         yield from _chunked(
-            chunk for start, g in zip(audit.starts, kept)
+            chunk for start, g in zip(starts, kept)
             for chunk in _entries(_evens(start, start + width - 1), pieces[g], prefix=f"{start},")
         )
 
@@ -286,20 +294,18 @@ def _row_check_text(checks: tuple[RelationCheck, ...]) -> str:
     )
 
 
-def audit_text(audit: _AuditGroups) -> Iterator[str]:
-    groups, rows = audit.walk(lambda c, row_checks, even_checks: (
+def audit_text(walk: Callable) -> Iterator[str]:
+    rows, summary = walk(lambda c, row_checks, even_checks: (
         _census_text(c) + _row_check_text(row_checks),  # a row's lines after "row start..end"
         ["  A=", f" dc={_DC_VALUE}{_failing_note(even_checks)}\n"]))  # the pieces A joins
     yield from _chunked(_text_rows(rows))
     yield "summary (held/failed):\n"
-    for rid, counts in audit.summary(groups).items():
+    for rid, counts in summary().items():
         yield f"  {rid}: {counts['held']}/{counts['failed']}\n"
 
 
-def _text_rows(rows: Iterator[tuple[int, int, list]]) -> Iterator[str]:
-    for start, end, group in rows:
-        group[-1] += 1  # the summary counts the group's rows
-        row_text, even_pieces = group[0]
+def _text_rows(rows: Iterator[tuple[int, int, tuple]]) -> Iterator[str]:
+    for start, end, (row_text, even_pieces) in rows:
         yield f"row {start}..{end}{row_text}"
         yield from _entries(_evens(start, end), even_pieces)
 

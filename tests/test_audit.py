@@ -275,7 +275,7 @@ class TestAggregation:
                                                     (1, 7, 2), (3, 1, 4)])
     def test_every_render_counts_the_row_of_two_once(self, start, width, rows):
         # 2 is the one even without per-even checks; row 0 or 1 holds it, and
-        # each render of the walk counts its own rows for the summary
+        # each walk counts its own groups' rows for its summary
         rng = Range(start, start + width * rows - 1)
         summary = naive_summary(audit_range(rng, width).reports)
         assert audit_range(rng, width).summary == summary
@@ -366,7 +366,7 @@ class TestAggregation:
         monkeypatch.setattr(audit, "EvenAudit", no_even_audit)
         audit_range(Range(1, 2000), 20)
         result = audit._audit_groups(Range(1, 2000), 20)
-        assert "".join(serialize.audit_csv(result)).count("\n") > 1000
+        assert "".join(serialize.audit_csv(result, range(1, 2001, 20))).count("\n") > 1000
         text = "".join(serialize.audit_json(result, {}))
         assert len(json.loads(text)["payload"]["rows"]) == 100
         assert "".join(serialize.audit_text(result)).endswith("\n")
@@ -429,7 +429,8 @@ class TestAggregation:
             for r in result.reports for e in r.per_even for c in e.checks
         ])
         groups = audit._audit_groups(rng, width, relations)
-        assert "".join(serialize.audit_csv(groups)) == row_table + "\n" + even_table
+        starts = range(start, rng.end + 1, width)
+        assert "".join(serialize.audit_csv(groups, starts)) == row_table + "\n" + even_table
         items = census_range(rng, width)
         expected = csv_writer_text(census, [[row.start, row.end, *counts(c)] for row, c in items])
         assert "".join(serialize.census_csv(_census_groups(rng, width))) == expected

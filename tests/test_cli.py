@@ -323,9 +323,10 @@ ROW_LISTS += [("partition", "json"), ("partition", "text")]
 
 
 class TestRowsByCensusGroup:
-    """audit and census render each row as the census walk hands it over, with
-    one census per group and nothing kept per row, and partition from row
-    arithmetic, not from records."""
+    """audit and census render each row as their walk hands it over, with one
+    census per group; the CSV audit alone keeps something per row, its 4-byte
+    group id for the even table.  partition renders from row arithmetic, not
+    from records."""
 
     @pytest.mark.parametrize("command, fmt", ROW_LISTS, ids=["-".join(c) for c in ROW_LISTS])
     def test_no_record_per_row(self, command, fmt, monkeypatch, tmp_path):
@@ -750,3 +751,32 @@ class TestSieveDomain:
         assert proc.returncode == 2, proc.stderr
         assert "2**64" in proc.stderr
         assert not checkpoint.exists()
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+# Each domain limit, and the README's words for it, with {} where it states the value
+DOMAIN_LIMITS = [
+    ("primes", "SEGMENT_CAP", "A `sieve` interval wider than {} exits `2`"),
+    ("primes", "_BASE_TABLE_CAP", "base-prime table is capped at the primes up to {}"),
+    ("primes", "_WORD_LIMIT", "`sieve`, `verify`, `census` and `audit` sieve below {} only"),
+    ("primes", "NTH_PRIME_LIMIT", "`nth_prime` sieves up to {}"),
+    ("dc", "PAIR_CAP", "`dc --pairs` lists the pairs of targets up to {} only"),
+    ("dc", "ORACLE_CAP", "`dc_oracle` and `dc_oracle_table` answer up to {}"),
+    ("dc", "ENUMERATION_CAP", "`decompositions` up to {}"),
+]
+
+
+def readme_power(value):
+    """A limit as the README writes it: 2^k or 10^k."""
+    k = value.bit_length() - 1
+    if value == 1 << k:
+        return f"2^{k}"
+    k = len(str(value)) - 1
+    assert value == 10**k, value
+    return f"10^{k}"
+
+
+@pytest.mark.parametrize("module, name, words", DOMAIN_LIMITS, ids=[n for _, n, _ in DOMAIN_LIMITS])
+def test_the_readme_states_each_domain_limit(module, name, words):
+    value = getattr(getattr(goldbach_lab, module), name)
+    assert words.format(readme_power(value)) in " ".join(README.read_text().split())

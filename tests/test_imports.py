@@ -209,6 +209,50 @@ def test_every_private_definition_is_used():
     assert sorted(defined - loaded) == []
 
 
+# The package-private names each module reads from another module, as the
+# defining module spells them (a method as Class._name).  A new coupling to
+# another module's layout fails here until it is listed, as a new keyword
+# fails the signature pins.
+CROSS_MODULE_PRIVATE_READS = {
+    "audit": ["Record._store", "_census_groups"],
+    "census": ["Record._store", "_base_table", "_check_width"],
+    "cli": ["_audit_groups", "_census_groups", "_check_width"],
+    "dc": ["Record._store", "_base_table"],
+    "primes": ["Record._store"],
+    "rowrange": ["Record._store"],
+    "serialize": ["PrimeSegment._parts", "_DC_VALUE", "_evens"],
+    "sweep": ["Record._store", "_COMPOSITE", "_WORD_LIMIT", "_base_table", "_odd_digits"],
+}
+
+
+def private_definitions(tree: ast.Module) -> dict[str, str]:
+    """A module's top-level private names and its classes' private methods,
+    each keyed by the bare name that a reader spells."""
+    names = {name: name for name in top_level_private_names(tree)}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            names.update((m.name, f"{node.name}.{m.name}") for m in node.body
+                         if isinstance(m, ast.FunctionDef) and m.name.startswith("_")
+                         and not m.name.endswith("__"))
+    return names
+
+
+def test_cross_module_private_reads_are_pinned():
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE.glob("*.py")}
+    defined = {module: private_definitions(tree) for module, tree in trees.items()}
+    reads = {}
+    for module, tree in trees.items():
+        spelled = {n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute)
+                   else n.name for n in ast.walk(tree)
+                   if isinstance(n, (ast.Name, ast.Attribute, ast.alias))}
+        found = sorted(qualified for other, names in defined.items() if other != module
+                       for name, qualified in names.items()
+                       if name in spelled and name not in defined[module])
+        if found:
+            reads[module] = found
+    assert reads == CROSS_MODULE_PRIVATE_READS
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_every_line_fits_in_100_columns(path):
     long_lines = [
